@@ -3,7 +3,7 @@ GO ?= go
 # The verify chain is what CI (and any contributor) runs before a
 # merge: full build, vet, the armvet static-analysis suite, the whole
 # test suite, the concurrency packages again under the race detector
-# (including the simulator's direct-dispatch scheduler), the
+# (including the simulator's coroutine scheduler), the
 # cycle-attribution conservation invariant over the fast golden
 # subset, then the perf-regression gate against the committed
 # BENCH_sim.json. `-run 'Test'` keeps the race pass on the (fast)
@@ -38,7 +38,7 @@ race:
 	$(GO) test -race -run Test ./internal/runner ./internal/core ./internal/sim ./internal/sb ./internal/progress ./internal/serve
 
 # Many-core smoke under the race detector: a 256-thread sense-reversing
-# barrier run drives the direct-dispatch scheduler, the sharded
+# barrier run drives the simulator's scheduler, the sharded
 # directory bitsets and the compiled engine at scale-out thread counts
 # that the ordinary race pass never reaches.
 .PHONY: scalecheck

@@ -59,6 +59,10 @@ func perfcheckMain(argv []string) int {
 			return 1
 		}
 	}
+	if snap.ColdWallSecondsMaxProcs1 > 0 && snap.ColdWallSecondsNProc > 0 {
+		fmt.Fprintf(os.Stderr, "# snapshot core-count context: `-quick all` cold %.1fs at GOMAXPROCS=1, %.1fs at GOMAXPROCS=%d\n",
+			snap.ColdWallSecondsMaxProcs1, snap.ColdWallSecondsNProc, snap.NProc)
+	}
 	if snap.InterpColdWallSeconds > 0 && snap.ColdWallSeconds > 0 {
 		fmt.Fprintf(os.Stderr, "# snapshot engine context: `-quick all` cold interp %.1fs vs compiled %.1fs (%.2fx)\n",
 			snap.InterpColdWallSeconds, snap.ColdWallSeconds,

@@ -37,24 +37,26 @@ var DeterministicPackages = map[string]bool{
 //
 // Deliberately excluded: addrTimes.grow and Directory.line (rare
 // resize / lazy-init paths that allocate by design and are amortized
-// away), Machine.fatalLocked / Machine.stuckReport / Machine.finishThread
-// (error and shutdown paths), and everything the benchmarks never
+// away), Machine.fatalStuck / Machine.stuckReport / Machine.finishThread
+// / Machine.prime / Machine.stopThreads (error, setup and shutdown
+// paths), Thread.start (coroutine creation, once per closure thread),
+// and everything the benchmarks never
 // reach. Fixture functions opt in with an `// armvet:hotpath` doc
 // marker instead of being listed here.
 var HotPathFuncs = map[string]bool{
-	// Scheduler rendezvous (internal/sim/sched.go).
+	// Scheduler driver loop and its steps (internal/sim/sched.go).
+	"armbar/internal/sim.Machine.drive":       true,
+	"armbar/internal/sim.Machine.stepProgram": true,
 	"armbar/internal/sim.Thread.dispatch":     true,
-	"armbar/internal/sim.Thread.park":         true,
-	"armbar/internal/sim.Thread.grant":        true,
-	"armbar/internal/sim.Machine.safeProcess": true,
+	"armbar/internal/sim.Thread.suspend":      true,
 	"armbar/internal/sim.Machine.noteServed":  true,
 	"armbar/internal/sim.runHeap.len":         true,
 	"armbar/internal/sim.runHeap.min":         true,
+	"armbar/internal/sim.runHeap.isMin":       true,
 	"armbar/internal/sim.runLess":             true,
 	"armbar/internal/sim.runHeap.push":        true,
-	"armbar/internal/sim.runHeap.fix":         true,
-	"armbar/internal/sim.runHeap.remove":      true,
-	"armbar/internal/sim.runHeap.up":          true,
+	"armbar/internal/sim.runHeap.fixMin":      true,
+	"armbar/internal/sim.runHeap.popMin":      true,
 	"armbar/internal/sim.runHeap.down":        true,
 
 	// Operation engine (internal/sim/thread.go, machine.go).
@@ -80,33 +82,30 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.Machine.invProc":      true,
 	"armbar/internal/sim.Machine.emit":         true,
 
-	// Compiled-engine dispatch loop (internal/sim/compiled.go).
+	// Compiled-engine dispatch (internal/sim/compiled.go).
 	// BenchmarkCompiledDispatch pins the whole program-execution path
 	// at 0 allocs/op.
-	"armbar/internal/sim.Thread.exec":          true,
-	"armbar/internal/sim.Machine.execSolo":     true,
-	"armbar/internal/sim.Machine.safeExecStep": true,
-	"armbar/internal/sim.Machine.execStep":     true,
-	"armbar/internal/sim.execEnv.addr":         true,
-	"armbar/internal/sim.execEnv.value":        true,
-	"armbar/internal/sim.execEnv.stepControl":  true,
-	"armbar/internal/sim.execEnv.done":         true,
-	"armbar/internal/sim.execLoad":             true,
-	"armbar/internal/sim.execLoadAcq":          true,
-	"armbar/internal/sim.execLoadAcqPC":        true,
-	"armbar/internal/sim.execStore":            true,
-	"armbar/internal/sim.execStoreRel":         true,
-	"armbar/internal/sim.execBarrier":          true,
-	"armbar/internal/sim.execWork":             true,
-	"armbar/internal/sim.execFetchAdd":         true,
-	"armbar/internal/sim.execSwap":             true,
-	"armbar/internal/sim.execCAS":              true,
-	"armbar/internal/sim.execRMW":              true,
-	"armbar/internal/sim.execSpinEQ":           true,
-	"armbar/internal/sim.execSpinNE":           true,
-	"armbar/internal/sim.execSpinGE":           true,
-	"armbar/internal/sim.storeStall":           true,
-	"armbar/internal/sim.rmwStall":             true,
+	"armbar/internal/sim.Machine.execStep":    true,
+	"armbar/internal/sim.execEnv.addr":        true,
+	"armbar/internal/sim.execEnv.value":       true,
+	"armbar/internal/sim.execEnv.stepControl": true,
+	"armbar/internal/sim.execEnv.done":        true,
+	"armbar/internal/sim.execLoad":            true,
+	"armbar/internal/sim.execLoadAcq":         true,
+	"armbar/internal/sim.execLoadAcqPC":       true,
+	"armbar/internal/sim.execStore":           true,
+	"armbar/internal/sim.execStoreRel":        true,
+	"armbar/internal/sim.execBarrier":         true,
+	"armbar/internal/sim.execWork":            true,
+	"armbar/internal/sim.execFetchAdd":        true,
+	"armbar/internal/sim.execSwap":            true,
+	"armbar/internal/sim.execCAS":             true,
+	"armbar/internal/sim.execRMW":             true,
+	"armbar/internal/sim.execSpinEQ":          true,
+	"armbar/internal/sim.execSpinNE":          true,
+	"armbar/internal/sim.execSpinGE":          true,
+	"armbar/internal/sim.storeStall":          true,
+	"armbar/internal/sim.rmwStall":            true,
 
 	// Cycle-attribution profiler (internal/sim/profile.go): every
 	// clock advance in both engines funnels through these, profiled

@@ -41,7 +41,12 @@ type Snapshot struct {
 	// -engine=interp, so the compiled engine's whole-pipeline speedup
 	// is visible next to the per-op benchmarks.
 	InterpColdWallSeconds float64 `json:"interp_cold_wall_seconds,omitempty"`
-	Benchmarks            []Bench `json:"benchmarks"`
+	// The cold `-quick all` run again at GOMAXPROCS=1 and at the
+	// host's core count (NProc).
+	NProc                    int     `json:"nproc,omitempty"`
+	ColdWallSecondsMaxProcs1 float64 `json:"cold_wall_seconds_gomaxprocs1,omitempty"`
+	ColdWallSecondsNProc     float64 `json:"cold_wall_seconds_nproc,omitempty"`
+	Benchmarks               []Bench `json:"benchmarks"`
 }
 
 // Load reads and validates a snapshot file.

@@ -13,7 +13,7 @@ import (
 // Tests of the compiled engine: the differential check against the
 // interpreted engine (identical traces, stats, memory, and clock at
 // several seeds), and the scheduler edge cases — store-buffer-full
-// retry, the watchdog, a program finishing while peers are parked —
+// retry, the watchdog, a program finishing while peers are queued —
 // rerun through SpawnProgram. These run under `make race`.
 
 // recTracer records every event for byte-for-byte comparison.
@@ -148,9 +148,9 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// TestCompiledSoloMatchesInterp checks the solo fast path (execSolo
-// holds the machine for the whole program) against the interpreted
-// solo loop.
+// TestCompiledSoloMatchesInterp checks the solo fast path (the driver
+// steps the whole program in one stepProgram call) against the
+// interpreted solo loop.
 func TestCompiledSoloMatchesInterp(t *testing.T) {
 	run := func(compiled bool) (float64, Stats, uint64) {
 		m := newTestMachine(WMM, 21)
@@ -243,7 +243,8 @@ func TestCompiledWatchdogFires(t *testing.T) {
 	m.Run()
 }
 
-// TestCompiledWatchdogFiresSolo covers the execSolo watchdog check.
+// TestCompiledWatchdogFiresSolo covers the watchdog check on a solo
+// program.
 func TestCompiledWatchdogFiresSolo(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -263,9 +264,9 @@ func TestCompiledWatchdogFiresSolo(t *testing.T) {
 }
 
 // TestCompiledThreadFinishesWhileOthersParked reruns the
-// finish-while-parked edge case with every thread compiled: the short
-// program retires first and finishThread must hand the machine to the
-// new run-queue minimum.
+// finish-while-queued edge case with every thread compiled: the short
+// program retires first and the driver must move on to the new
+// run-queue minimum.
 func TestCompiledThreadFinishesWhileOthersParked(t *testing.T) {
 	m := newTestMachine(WMM, 5)
 	a, b, c := m.Alloc(1), m.Alloc(1), m.Alloc(1)

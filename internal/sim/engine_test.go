@@ -1,23 +1,26 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"armbar/internal/platform"
+	"armbar/internal/runner"
 )
 
-// Edge cases of the direct-dispatch scheduler: threads finishing while
-// others are parked, the watchdog firing from a multi-thread dispatch,
-// the store-buffer-full retry loop, and the dispatch counters.
+// Edge cases of the scheduler: threads finishing while others wait in
+// the run queue, the watchdog firing from a multi-thread dispatch,
+// panics in a closure's own code, the store-buffer-full retry loop,
+// and the dispatch counters.
 
 func TestThreadFinishesWhileOthersParked(t *testing.T) {
 	m := newTestMachine(WMM, 5)
 	a, b, c := m.Alloc(1), m.Alloc(1), m.Alloc(1)
 	var short, long1, long2 uint64
 	// The short thread retires after one op while both long threads
-	// still have work parked; finishThread must hand the machine to the
-	// new minimum or the run deadlocks.
+	// still have work queued; finishThread must leave the run queue so
+	// the driver serves the new minimum.
 	m.Spawn(0, func(th *Thread) {
 		short = th.FetchAdd(a, 1)
 	})
@@ -50,8 +53,8 @@ func TestThreadFinishesWhileOthersParked(t *testing.T) {
 func TestWatchdogFiresWithThreadsParked(t *testing.T) {
 	// Unlike TestWatchdogPanicsOnStuckSpin (one thread, solo fast
 	// path), this pins two live threads in the run queue so the
-	// watchdog triggers from the parked/woken dispatch path; the panic
-	// must still surface from Run on the caller's goroutine.
+	// watchdog triggers on a thread the driver resumed; the panic must
+	// still surface from Run on the caller's goroutine.
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -72,6 +75,97 @@ func TestWatchdogFiresWithThreadsParked(t *testing.T) {
 	m.Spawn(0, spin(a))
 	m.Spawn(1, spin(b))
 	m.Run()
+}
+
+// spinMachine builds a machine whose threads spin on flags nobody
+// sets, so the watchdog trips once a clock passes MaxTime.
+func spinMachine(threads int) *Machine {
+	m := New(Config{Plat: platform.RaspberryPi4(), Mode: WMM, Seed: 3, MaxTime: 1e6})
+	for i := 0; i < threads; i++ {
+		addr := m.Alloc(1)
+		m.Spawn(0, func(th *Thread) {
+			for th.Load(addr) != 99 { // never satisfied
+			}
+		})
+	}
+	return m
+}
+
+// runRecovered runs m and returns what Run panicked with, or nil.
+func runRecovered(m *Machine) (p any) {
+	defer func() { p = recover() }()
+	m.Run()
+	return nil
+}
+
+// TestWatchdogLeavesNoGoroutines pins the cleanup contract: when the
+// watchdog fires, Run stops every suspended closure thread before the
+// panic leaves it, so nothing of the machine outlives the failed run.
+func TestWatchdogLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := runRecovered(spinMachine(3))
+	if s, ok := p.(string); !ok || !strings.Contains(s, "watchdog") {
+		t.Fatalf("Run panicked with %v, want the watchdog report", p)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d before the run, %d after it", before, after)
+	}
+}
+
+// boom is a closure-thread body that panics in its own Go code,
+// between two ops, while a peer thread is still waiting to run.
+func boom(th *Thread) {
+	th.Work(10)
+	if th.Now() > 0 {
+		panic("workload bug")
+	}
+	th.Work(10)
+}
+
+// TestClosurePanicSurfacesFromRun checks that a panic raised by a
+// closure thread's own code, not inside an op, comes out of Run on the
+// caller's goroutine and leaves no goroutine behind.
+func TestClosurePanicSurfacesFromRun(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := newTestMachine(WMM, 1)
+	a := m.Alloc(1)
+	m.Spawn(0, func(th *Thread) {
+		for i := 0; i < 100; i++ {
+			th.Load(a)
+		}
+	})
+	m.Spawn(4, boom)
+	if p := runRecovered(m); p != "workload bug" {
+		t.Fatalf("Run panicked with %v, want the closure's panic", p)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d before the run, %d after it", before, after)
+	}
+}
+
+// TestClosurePanicIsCellError runs the same failing machine as one
+// runner cell: the panic must fail only that cell, as its Future.Err.
+func TestClosurePanicIsCellError(t *testing.T) {
+	pool := runner.New(2)
+	defer pool.Close()
+	run := func(bad bool) func() float64 {
+		return func() float64 {
+			m := newTestMachine(WMM, 1)
+			m.Spawn(0, func(th *Thread) { th.Work(50) })
+			if bad {
+				m.Spawn(4, boom)
+			}
+			return m.Run()
+		}
+	}
+	good, failed := runner.Submit(pool, run(false)), runner.Submit(pool, run(true))
+	if err := good.Err(); err != nil {
+		t.Fatalf("healthy cell failed: %v", err)
+	}
+	err := failed.Err()
+	if err == nil || !strings.Contains(err.Error(), "workload bug") {
+		t.Fatalf("failing cell's Err = %v, want the closure's panic", err)
+	}
 }
 
 func TestStoreBufferFullRetry(t *testing.T) {

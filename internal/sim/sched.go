@@ -1,187 +1,173 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
-)
+import "errors"
 
-// This file is the direct-dispatch scheduler: the machine is a monitor
-// (one mutex, per-thread wait slots) instead of a goroutine with
-// request/reply channels. A thread performing an operation acquires
-// the machine and, when it is the runnable thread with the smallest
-// (virtual time, id), executes the op's semantics inline as a plain
-// function call — no channel hop, no context switch. Otherwise it
-// parks on its wait slot and is woken by whichever thread's inline
-// processing (or completion) makes it the new minimum. On a machine
-// with a single live thread — every single-core measurement loop —
-// simulated operations therefore degenerate to function calls end to
-// end.
+// This file is the scheduler: one driver loop, run by Machine.Run on
+// the caller's goroutine, serves every simulated thread in global
+// min-(virtual time, id) order, so a machine never executes on more
+// than one goroutine at a time.
 //
-// The service order is exactly the channel engine's: an op runs only
-// once every live thread has an op pending (all are inside dispatch)
-// and it belongs to the minimum-(now, id) thread, so the rng draw
-// sequence — and with it every simulated number — is unchanged.
+//   - A compiled thread (SpawnProgram) is stepped by the driver itself,
+//     from the execEnv kept on its Thread (see stepProgram).
+//   - A closure thread (Spawn) runs as a coroutine (coro.go). Each op
+//     it issues enters dispatch, which executes the op inline as a
+//     plain function call while the thread is the run queue's minimum
+//     — on a one-thread machine that is every op — and otherwise
+//     yields to the driver, which resumes whichever thread is the new
+//     minimum.
+//
+// Whenever the driver picks, every live thread sits in the run queue
+// keyed on its clock: a thread's own Go code between ops runs while
+// each peer waits at its next op. An op therefore runs only once every
+// live thread has one pending and it belongs to the minimum thread, so
+// the service order — and with it the rng draw sequence and every
+// simulated number — depends only on the seed, never on the host.
+//
+// A panic inside an op or in a closure's own Go code (the MaxTime
+// watchdog, a bad barrier value, a workload bug) unwinds out of Run on
+// the caller's goroutine; Run stops the suspended coroutines on the
+// way out, so a failed machine leaves no goroutines behind.
 
-// dispatch submits the op staged in t.req, blocks (logically) until
-// the scheduler's ordering rules let it run, and returns its result.
-// The calling goroutine itself executes the op when it is eligible.
+// errStopped unwinds a suspended closure thread whose machine stopped
+// after a panic elsewhere (see stopThreads); its coroutine recovers it.
+var errStopped = errors.New("sim: machine stopped")
+
+// drive serves threads until every one has finished. A closure thread
+// finishes wherever its closure returns, which need not be at the
+// head of the queue, so it is popped once it surfaces as the minimum.
+func (m *Machine) drive() {
+	for m.runq.len() > 0 {
+		t := m.runq.min()
+		switch {
+		case t.finished:
+			m.runq.popMin()
+		case t.compiled:
+			m.stepProgram(t)
+		default:
+			if _, ok := t.next(); !ok {
+				m.finishThread(t)
+			}
+		}
+	}
+}
+
+// prime readies a spawned thread for the driver without running any
+// op: a closure thread's coroutine starts and runs up to its first op,
+// a program folds its leading control codes. A thread with an op
+// pending joins the run queue; one with none finishes at once.
+func (m *Machine) prime(t *Thread) {
+	if t.primed {
+		return
+	}
+	t.primed = true
+	pending := false
+	if t.compiled {
+		t.env.stepControl()
+		pending = !t.env.done()
+	} else {
+		t.start()
+		_, pending = t.next()
+	}
+	if pending {
+		m.runq.push(t)
+	} else {
+		m.finishThread(t)
+	}
+}
+
+// dispatch runs the op staged in t.req on the calling coroutine once
+// t is the run queue's minimum, yielding to the driver until then, and
+// returns its result.
 func (t *Thread) dispatch() uint64 {
 	m := t.m
-	m.mu.Lock()
-	if m.started && m.alive == 1 {
-		// Solo fast path: no other thread can become the minimum, so
-		// skip the run queue entirely and retry-loop in place.
-		for {
-			if t.now > m.cfg.MaxTime {
-				m.fatalStuck(t)
-			}
-			if m.safeProcess(&t.req) {
-				break
-			}
-		}
-		m.mu.Unlock()
-		return t.req.result
-	}
-	m.runq.push(t)
 	for {
-		if m.started && m.runq.len() == m.alive {
-			if m.runq.min() == t {
-				if t.now > m.cfg.MaxTime {
-					m.fatalStuck(t)
-				}
-				if !m.safeProcess(&t.req) {
-					// The op only advanced this thread's clock (waiting
-					// for its own store buffer); re-sort and retry once
-					// it is the minimum again, so commits apply in
-					// global time order.
-					m.runq.fix(t.heapIdx)
-					continue
-				}
-				m.runq.remove(t.heapIdx)
-				m.mu.Unlock()
-				return t.req.result
-			}
-			// Someone else must run first: hand them the machine.
-			m.runq.min().grant()
+		if !m.runq.isMin(t) {
+			t.suspend()
+			continue
 		}
-		m.mu.Unlock()
-		t.park()
-		m.mu.Lock()
+		if t.now > m.cfg.MaxTime {
+			m.fatalStuck(t)
+		}
+		ok := m.process(&t.req)
+		m.runq.fixMin()
+		if ok {
+			return t.req.result
+		}
+		// The op only advanced this thread's clock (waiting for its
+		// own store buffer); retry once it is the minimum again, so
+		// commits apply in global time order.
 	}
 }
 
-// Grant states (Thread.gstate). A parked thread spins through a few
-// scheduler passes before committing to a channel sleep; the waker
-// pays a channel send only when the sleep actually happened.
-const (
-	grantNone     int32 = iota // not granted; owner may be spinning
-	grantReady                 // granted: the parked thread may run
-	grantSleeping              // owner committed to a channel sleep
-)
+// suspend yields to the driver, which resumes the thread once it is
+// the run queue's minimum. If the machine stops instead, the closure
+// unwinds with errStopped.
+func (t *Thread) suspend() {
+	if !t.yield(struct{}{}) {
+		panic(errStopped)
+	}
+}
 
-// spinRounds bounds the cooperative-yield phase of park. Each round
-// costs one runtime.Gosched pass; in tightly alternating two-thread
-// machines the grant arrives within a round or two, and the yield is
-// several times cheaper than a channel sleep/wake pair. Threads that
-// wait longer (wide fan-in sweeps) fall through to a real sleep, so
-// parked threads never busy-poll for more than a few passes.
-const spinRounds = 4
-
-// park blocks until grant hands this thread the machine. Called with
-// m.mu released.
-func (t *Thread) park() {
-	for i := 0; i < spinRounds; i++ {
-		if atomic.LoadInt32(&t.gstate) == grantReady {
-			atomic.StoreInt32(&t.gstate, grantNone)
+// stepProgram runs a compiled thread's ops while it stays the run
+// queue's minimum; with one live thread that is the whole program.
+func (m *Machine) stepProgram(t *Thread) {
+	e := &t.env
+	for {
+		if t.now > m.cfg.MaxTime {
+			m.fatalStuck(t)
+		}
+		m.execStep(t, e)
+		if e.done() {
+			m.runq.popMin()
+			m.finishThread(t)
 			return
 		}
-		runtime.Gosched()
-	}
-	if atomic.CompareAndSwapInt32(&t.gstate, grantNone, grantSleeping) {
-		<-t.wake
-	}
-	atomic.StoreInt32(&t.gstate, grantNone)
-}
-
-// grant wakes a parked thread. At most one grant is ever outstanding
-// (only the unique minimum is woken), so the buffered send can never
-// block. Mutual exclusion on machine state still comes from m.mu: the
-// grantee re-acquires it before touching anything.
-func (t *Thread) grant() {
-	if atomic.SwapInt32(&t.gstate, grantReady) == grantSleeping {
-		t.wake <- struct{}{}
+		m.runq.fixMin()
+		if !m.runq.isMin(t) {
+			return
+		}
 	}
 }
 
-// finishThread retires a thread whose closure returned: its stores
-// drain, and if every remaining live thread is already parked the new
-// minimum is woken (or Run, when this was the last thread).
+// finishThread retires a thread whose closure returned or whose
+// program ran out: its stores drain. The driver drops it from the run
+// queue once it reaches the head.
 func (m *Machine) finishThread(t *Thread) {
-	m.mu.Lock()
 	t.finished = true
-	m.alive--
 	if t.now > m.finish {
 		m.finish = t.now
 	}
 	m.retireStores(t.now)
-	switch {
-	case m.alive == 0:
-		if m.started {
-			close(m.runDone)
-		}
-	case m.started && m.runq.len() == m.alive:
-		m.runq.min().grant()
-	}
-	m.mu.Unlock()
 }
 
-// safeProcess runs one op's semantics, converting a panic (the
-// watchdog report, a bad barrier value) into a machine-fatal error so
-// it surfaces from Run on the caller's goroutine — the contract the
-// channel engine's central scheduler loop provided.
-func (m *Machine) safeProcess(r *request) (ok bool) {
-	defer func() { //armvet:ignore allocvet — open-coded defer; perf gate measures 0 allocs/op
-		if p := recover(); p != nil {
-			m.fatalLocked(p)
+// stopThreads ends every closure thread still suspended, so a run
+// that panicked leaves no coroutine behind. The run queue is emptied
+// first: no thread is the minimum any more, so a stopped closure that
+// issues another op while unwinding is stopped again.
+func (m *Machine) stopThreads() {
+	m.runq.s = nil
+	for _, t := range m.threads {
+		if t.stop != nil && !t.finished {
+			t.stop()
 		}
-	}()
-	return m.process(r)
-}
-
-// fatalLocked records a fatal condition, wakes Run (which re-panics
-// it), and parks the current thread goroutine for good. Must be called
-// with m.mu held; it does not return.
-//
-// armvet:holds mu
-func (m *Machine) fatalLocked(v any) {
-	m.fatal = v
-	if m.started {
-		close(m.runDone)
 	}
-	m.mu.Unlock()
-	select {}
 }
 
 // fatalStuck is the watchdog's exit: building the report string and
-// boxing it into fatalLocked's any parameter stay out of dispatch,
-// which must remain allocation-free on its live paths.
-//
-// armvet:holds mu
+// boxing it into a panic value stay out of dispatch, which must remain
+// allocation-free on its live paths.
 //
 //go:noinline
 func (m *Machine) fatalStuck(t *Thread) {
-	m.fatalLocked(m.stuckReport(t))
+	panic(m.stuckReport(t))
 }
 
 // noteServed maintains the dispatch counters from the (deterministic)
-// service sequence: consecutive ops by one thread need no handoff —
-// the thread processed its own request inline on re-entry — while a
-// change of thread implies a park on one side and a wake on the other.
-// Deriving the split this way keeps Stats independent of real-time
-// arrival order, so identical seeds still produce identical Stats.
-//
-// armvet:holds mu
+// service sequence: consecutive ops by one thread ran back to back
+// with no switch of serving thread (InlineDispatches), while a change
+// of thread is counted as one park and wake (ParkWakes). Deriving the
+// split from the sequence keeps Stats independent of how the host
+// executes the threads, so identical seeds produce identical Stats.
 func (m *Machine) noteServed(t *Thread) {
 	if m.lastServed == t {
 		m.stats.InlineDispatches++
@@ -191,94 +177,83 @@ func (m *Machine) noteServed(t *Thread) {
 	m.lastServed = t
 }
 
-// runHeap is an indexed min-heap of the threads currently parked in
-// dispatch, keyed on (now, id) — (time, id) pairs are unique, so the
-// minimum (the next thread to serve) is unambiguous. It replaces the
-// channel engine's O(threads) scan over parked requests, which the
-// 24–64-thread lock sweeps paid once per simulated op.
-type runHeap struct{ s []*Thread }
+// runHeap is a min-heap of the live threads keyed on (now, id) —
+// (time, id) pairs are unique, so the minimum (the next thread to
+// serve) is unambiguous. Each entry carries a copy of its thread's
+// key, so sifting compares contiguous entries instead of loading
+// clocks out of the thread arena. Only the thread being served — the
+// minimum — ever changes its key, so re-keying is one sift-down from
+// the root.
+type runHeap struct{ s []runEntry }
+
+type runEntry struct {
+	now float64
+	id  int
+	t   *Thread
+}
 
 func (h *runHeap) len() int { return len(h.s) }
 
 // min returns the next thread to serve without removing it.
-func (h *runHeap) min() *Thread { return h.s[0] }
+func (h *runHeap) min() *Thread { return h.s[0].t }
 
-func runLess(a, b *Thread) bool {
+// isMin reports whether t is queued and the next thread to serve.
+func (h *runHeap) isMin(t *Thread) bool { return len(h.s) > 0 && h.s[0].t == t }
+
+func runLess(a, b *runEntry) bool {
 	if a.now != b.now {
 		return a.now < b.now
 	}
 	return a.id < b.id
 }
 
-// push inserts t and records its index for later fix/remove.
 func (h *runHeap) push(t *Thread) {
-	h.s = append(h.s, t)
-	t.heapIdx = len(h.s) - 1
-	h.up(t.heapIdx)
-}
-
-// fix restores heap order around index i after its thread's time moved.
-func (h *runHeap) fix(i int) {
-	h.down(i)
-	h.up(i)
-}
-
-// remove deletes the thread at index i.
-func (h *runHeap) remove(i int) {
+	h.s = append(h.s, runEntry{now: t.now, id: t.id, t: t})
 	s := h.s
-	n := len(s) - 1
-	if i > n || s[i] == nil {
-		badRemove(i, n+1)
-	}
-	if i != n {
-		s[i] = s[n]
-		s[i].heapIdx = i
-	}
-	s[n] = nil
-	h.s = s[:n]
-	if i != n {
-		h.fix(i)
-	}
-}
-
-// badRemove reports an out-of-range heap removal. Separate from
-// remove so the hot path carries no fmt machinery or boxing.
-//
-//go:noinline
-func badRemove(i, n int) {
-	panic(fmt.Sprintf("sim: runHeap.remove(%d) of %d", i, n))
-}
-
-func (h *runHeap) up(i int) {
-	s := h.s
-	for i > 0 {
+	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !runLess(s[i], s[p]) {
+		if !runLess(&s[i], &s[p]) {
 			break
 		}
 		s[i], s[p] = s[p], s[i]
-		s[i].heapIdx, s[p].heapIdx = i, p
 		i = p
 	}
 }
 
-func (h *runHeap) down(i int) {
+// fixMin re-keys the minimum from its thread's clock.
+func (h *runHeap) fixMin() {
+	h.s[0].now = h.s[0].t.now
+	h.down()
+}
+
+// popMin removes the minimum.
+func (h *runHeap) popMin() {
+	n := len(h.s) - 1
+	h.s[0] = h.s[n]
+	h.s[n] = runEntry{}
+	h.s = h.s[:n]
+	if n > 0 {
+		h.down()
+	}
+}
+
+// down sifts the root entry to its place.
+func (h *runHeap) down() {
 	s := h.s
 	n := len(s)
-	for {
+	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < n && runLess(s[l], s[small]) {
+		if l < n && runLess(&s[l], &s[small]) {
 			small = l
 		}
-		if r < n && runLess(s[r], s[small]) {
+		if r < n && runLess(&s[r], &s[small]) {
 			small = r
 		}
 		if small == i {
 			return
 		}
 		s[i], s[small] = s[small], s[i]
-		s[i].heapIdx, s[small].heapIdx = i, small
 		i = small
 	}
 }

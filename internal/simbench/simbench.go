@@ -77,9 +77,8 @@ func spawnLoop(m *sim.Machine, core topo.CoreID, n int,
 
 // RendezvousLoadHit is the floor of a simulated operation: cache-hit
 // loads with nothing in flight, so the measured cost is one pass
-// through the direct-dispatch scheduler (the solo fast path — a mutex
-// acquire and an inline process call, or one compiled dispatch) plus
-// the load bookkeeping. The name predates the scheduler rewrite and is
+// through the scheduler (the solo fast path — an inline process call,
+// or one compiled dispatch) plus the load bookkeeping. The name predates the scheduler rewrite and is
 // kept so snapshots stay comparable across engine generations.
 func RendezvousLoadHit(b *testing.B) {
 	m := newBenchMachine()
@@ -94,7 +93,8 @@ func RendezvousLoadHit(b *testing.B) {
 
 // RendezvousTwoThreads interleaves two runnable threads so every
 // operation also pays the scheduler's min-(time, id) pick and, when
-// service alternates, the park/grant handoff between goroutines.
+// service alternates, the handoff between threads (a driver step for
+// programs, a coroutine switch for closures).
 func RendezvousTwoThreads(b *testing.B) {
 	m := newBenchMachine()
 	a1, a2 := m.Alloc(1), m.Alloc(1)
@@ -148,10 +148,10 @@ func StoreDMBFull(b *testing.B) {
 
 // CompiledDispatch measures the compiled engine's dispatch loop in
 // isolation — always a program, regardless of the engine default: a
-// solo counted loop of cache-hit loads runs entirely inside execSolo,
-// so the per-op cost is one opExec table call plus the load
-// bookkeeping and the free LoopEnd fold. allocvet pins every function
-// on this path; the snapshot pins it at 0 allocs/op.
+// solo counted loop of cache-hit loads runs entirely inside one
+// stepProgram call, so the per-op cost is one opExec table call plus
+// the load bookkeeping and the free LoopEnd fold. allocvet pins every
+// function on this path; the snapshot pins it at 0 allocs/op.
 func CompiledDispatch(b *testing.B) {
 	m := newBenchMachine()
 	addr := m.Alloc(1)

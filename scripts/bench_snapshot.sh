@@ -19,29 +19,39 @@ raw=$(go test -run '^$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch
 # snapshot for reviewers — perfcheck prints but does not gate it.
 # The interp cold run (third, its own fresh cache dir) records the
 # whole-pipeline cost of the interpreted engine next to the compiled
-# default, so the engine speedup is visible in review diffs.
+# default, so the engine speedup is visible in review diffs. Two more
+# cold runs pin GOMAXPROCS to 1 and to the host's core count, so the
+# history shows whether whole-run wall time depends on the core count.
 bin=$(mktemp -d)/armbar
-cachedir=$(mktemp -d)
-interpdir=$(mktemp -d)
-trap 'rm -rf "$(dirname "$bin")" "$cachedir" "$interpdir"' EXIT
+scratch=$(mktemp -d)
+trap 'rm -rf "$(dirname "$bin")" "$scratch"' EXIT
 go build -o "$bin" ./cmd/armbar
-cold0=$(date +%s.%N)
-"$bin" -quick -times=false -cache-dir "$cachedir" all > /dev/null
-cold1=$(date +%s.%N)
-"$bin" -quick -times=false -cache-dir "$cachedir" all > /dev/null
-warm1=$(date +%s.%N)
-interp0=$(date +%s.%N)
-"$bin" -quick -times=false -engine=interp -cache-dir "$interpdir" all > /dev/null
-interp1=$(date +%s.%N)
-cold=$(awk -v a="$cold0" -v b="$cold1" 'BEGIN { printf "%.2f", b - a }')
-warm=$(awk -v a="$cold1" -v b="$warm1" 'BEGIN { printf "%.2f", b - a }')
-interp=$(awk -v a="$interp0" -v b="$interp1" 'BEGIN { printf "%.2f", b - a }')
+nproc=$(nproc)
+
+# coldrun NAME PROCS [ARGS...]: time `-quick all` against the cache
+# dir $scratch/NAME (fresh on first use) at GOMAXPROCS=PROCS (empty:
+# inherited), printing seconds.
+coldrun() {
+	dir="$scratch/$1"
+	procs=$2
+	shift 2
+	t0=$(date +%s.%N)
+	env ${procs:+GOMAXPROCS=$procs} "$bin" -quick -times=false -cache-dir "$dir" "$@" all > /dev/null
+	t1=$(date +%s.%N)
+	awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.2f", b - a }'
+}
+cold=$(coldrun default "")
+warm=$(coldrun default "")
+interp=$(coldrun interp "" -engine=interp)
+cold_p1=$(coldrun p1 1)
+cold_pn=$(coldrun pn "$nproc")
 
 printf '%s\n' "$raw" | awk \
     -v goversion="$(go env GOVERSION)" \
     -v maxprocs="${GOMAXPROCS:-$(nproc)}" \
     -v date="$(date -u +%Y-%m-%d)" \
-    -v cold="$cold" -v warm="$warm" -v interp="$interp" '
+    -v cold="$cold" -v warm="$warm" -v interp="$interp" \
+    -v nproc="$nproc" -v cold_p1="$cold_p1" -v cold_pn="$cold_pn" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -67,6 +77,9 @@ END {
     printf "  \"cold_wall_seconds\": %s,\n", cold
     printf "  \"warm_wall_seconds\": %s,\n", warm
     printf "  \"interp_cold_wall_seconds\": %s,\n", interp
+    printf "  \"nproc\": %s,\n", nproc
+    printf "  \"cold_wall_seconds_gomaxprocs1\": %s,\n", cold_p1
+    printf "  \"cold_wall_seconds_nproc\": %s,\n", cold_pn
     print "  \"benchmarks\": ["
     for (i = 1; i <= n; i++) printf "%s%s\n", benches[i], (i < n ? "," : "")
     print "  ]"
