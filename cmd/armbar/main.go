@@ -61,7 +61,7 @@ var (
 	times = flag.Bool("times", true, "report per-experiment wall time on stderr")
 
 	engineName = flag.String("engine", "compiled",
-		"simulation engine: compiled (precompiled micro-op programs, the default) or interp (original closure bodies); outputs are byte-identical")
+		"simulation engine for micro-op programs: compiled (native dispatch, the default) or interp (walked through the per-op Thread methods); outputs are byte-identical")
 
 	serveAddr = flag.String("serve", "",
 		"run the observability HTTP server on this address for the duration of the run (e.g. :8377; exposes /healthz /metrics /progress /profile /debug/pprof)")

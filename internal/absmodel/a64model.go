@@ -11,8 +11,9 @@ import (
 
 // RunA64 executes the two-store abstracted model from the paper's
 // actual Algorithm-1 assembly (built by Algorithm1Source) instead of
-// the Go-closure body — a cross-validation path: both forms must agree
-// on every variant's throughput within small tolerance.
+// the micro-op program Run builds — an independent cross-validation
+// path: both forms must agree on every variant's throughput within
+// small tolerance.
 func RunA64(cfg Config) (Result, error) {
 	if cfg.Pattern != TwoStores {
 		return Result{}, fmt.Errorf("absmodel: RunA64 supports the two-store pattern only")

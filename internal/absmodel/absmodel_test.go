@@ -275,8 +275,8 @@ func TestLoadLoadPatternOrderingCosts(t *testing.T) {
 }
 
 func TestA64ModelAgreesWithClosureModel(t *testing.T) {
-	// The verbatim Algorithm-1 assembly and the Go-closure body are two
-	// encodings of the same program; their throughputs must agree
+	// The verbatim Algorithm-1 assembly and Run's micro-op program are
+	// two encodings of the same program; their throughputs must agree
 	// closely for every barrier variant.
 	cores, p := kunpengSameNode()
 	for _, v := range []Variant{

@@ -173,7 +173,11 @@ var HotPathFuncs = map[string]bool{
 	// stay allocation-free in steady state (BenchmarkExploreStates pins
 	// the lattice sweep; per-run setup — newFastExplorer, layout.build,
 	// vtable.grow, terminal's outcome-string rendering — allocates by
-	// design and is excluded, like addrTimes.grow above).
+	// design and is excluded, like addrTimes.grow above). Witness
+	// recording runs through the same pinned functions: emit and
+	// expandOne only test rec for nil, and the one allocating append
+	// sits in the out-of-line fastExplorer.record, which only a
+	// recording pass calls and which is excluded for the same reason.
 	"armbar/internal/explore.fastExplorer.expandOne":     true,
 	"armbar/internal/explore.fastExplorer.emit":          true,
 	"armbar/internal/explore.fastExplorer.issue":         true,

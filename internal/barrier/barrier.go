@@ -14,10 +14,11 @@
 // or epoch flag may race past the target between polls of a slow
 // spinner, so an exact-match spin could hang where >= never does.
 //
-// Both engines run the same per-thread programs: the compiled engine
-// executes them natively (sim.SpawnProgram), the interpreted engine
-// walks the identical micro-ops through the per-op Thread methods, so
-// differential tests can hold the two equal cycle for cycle.
+// Both engines run the same per-thread programs through
+// sim.SpawnProgram: the compiled engine executes them natively, the
+// interpreted engine walks the identical micro-ops through the per-op
+// Thread methods (sim.Walk), so differential tests can hold the two
+// equal cycle for cycle.
 package barrier
 
 import (
@@ -121,7 +122,6 @@ type Config struct {
 	Rounds  int // barrier episodes (unrolled into the programs)
 	Seed    int64
 	Mode    sim.Mode
-	Engine  sim.Engine
 }
 
 // Result is one run's outcome. All fields are exported so cellcache
@@ -151,7 +151,7 @@ func Run(a Algo, cfg Config) (*Result, error) {
 }
 
 // Spawn builds the machine for one run — programs built, layout
-// placed, every thread spawned on its engine — without running it.
+// placed, every thread spawned — without running it.
 // Run wraps it; benchmarks call it directly so program construction
 // and thread startup stay outside the timed region.
 func Spawn(a Algo, cfg Config) (*sim.Machine, error) {
@@ -172,15 +172,8 @@ func Spawn(a Algo, cfg Config) (*sim.Machine, error) {
 	for k := 0; k < lay.lines; k++ {
 		m.Directory().Reserve(lay.base+uint64(k)<<mesi.LineShift, cfg.Threads)
 	}
-	if cfg.Engine.Resolve() == sim.EngineCompiled {
-		for i, p := range progs {
-			m.SpawnProgram(topo.CoreID(i), p)
-		}
-	} else {
-		for i, p := range progs {
-			p := p
-			m.Spawn(topo.CoreID(i), func(t *sim.Thread) { walk(t, p) })
-		}
+	for i, p := range progs {
+		m.SpawnProgram(topo.CoreID(i), p)
 	}
 	return m, nil
 }

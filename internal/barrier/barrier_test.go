@@ -10,28 +10,29 @@ import (
 // small returns a config exercising every algorithm cheaply: 16
 // threads (a power of treeRadix, so the combining tree accepts it) on
 // the 64-core Kunpeng 916 model.
-func small(engine sim.Engine) Config {
+func small() Config {
 	return Config{
 		Plat:    platform.Kunpeng916(),
 		Threads: 16,
 		Rounds:  3,
 		Seed:    42,
-		Engine:  engine,
 	}
 }
 
 func TestEngineDifferential(t *testing.T) {
-	// The interpreted walker mirrors the compiled executor op for op,
-	// so both engines must agree cycle for cycle on every algorithm.
+	// sim.Walk mirrors the compiled executor op for op, so both
+	// engines must agree cycle for cycle on every algorithm.
+	defer sim.SetDefaultEngine(sim.EngineDefault)
 	for _, a := range Algos() {
 		for _, seed := range []int64{1, 42} {
-			cfg := small(sim.EngineCompiled)
+			cfg := small()
 			cfg.Seed = seed
+			sim.SetDefaultEngine(sim.EngineCompiled)
 			comp, err := Run(a, cfg)
 			if err != nil {
 				t.Fatalf("%v compiled: %v", a, err)
 			}
-			cfg.Engine = sim.EngineInterp
+			sim.SetDefaultEngine(sim.EngineInterp)
 			interp, err := Run(a, cfg)
 			if err != nil {
 				t.Fatalf("%v interp: %v", a, err)
@@ -49,11 +50,11 @@ func TestEngineDifferential(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	for _, a := range Algos() {
-		first, err := Run(a, small(sim.EngineCompiled))
+		first, err := Run(a, small())
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
-		again, err := Run(a, small(sim.EngineCompiled))
+		again, err := Run(a, small())
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -65,9 +66,9 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestMoreRoundsCostMore(t *testing.T) {
 	for _, a := range Algos() {
-		short := small(sim.EngineCompiled)
+		short := small()
 		short.Rounds = 2
-		long := small(sim.EngineCompiled)
+		long := small()
 		long.Rounds = 6
 		rs, err := Run(a, short)
 		if err != nil {
@@ -85,7 +86,7 @@ func TestMoreRoundsCostMore(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	base := small(sim.EngineCompiled)
+	base := small()
 	cases := []struct {
 		name string
 		algo Algo
@@ -128,7 +129,6 @@ func TestScaleOut256(t *testing.T) {
 		Threads: 256,
 		Rounds:  2,
 		Seed:    42,
-		Engine:  sim.EngineCompiled,
 	}
 	for _, a := range []Algo{SenseReversing, Dissemination} {
 		r, err := Run(a, cfg)
@@ -153,13 +153,14 @@ func TestScaleOut1024(t *testing.T) {
 		Threads: 1024,
 		Rounds:  2,
 		Seed:    42,
-		Engine:  sim.EngineCompiled,
 	}
+	defer sim.SetDefaultEngine(sim.EngineDefault)
+	sim.SetDefaultEngine(sim.EngineCompiled)
 	comp, err := Run(SenseReversing, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Engine = sim.EngineInterp
+	sim.SetDefaultEngine(sim.EngineInterp)
 	interp, err := Run(SenseReversing, cfg)
 	if err != nil {
 		t.Fatal(err)

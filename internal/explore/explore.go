@@ -40,36 +40,6 @@ func (r *Result) Reaches(o litmus.Outcome) bool {
 	return false
 }
 
-// bufEntry is one pending store: level counts the store fences issued
-// before it (an entry may drain past same-level neighbors but never
-// past a lower level), rel marks an STLR-like release that must wait
-// until it is the oldest entry.
-type bufEntry struct {
-	addr  uint8
-	val   uint64
-	level uint8
-	rel   bool
-}
-
-// staleEntry is one value a thread may still observe for addr after a
-// remote commit overwrote it — the union of the simulator's
-// invalidated-copy window and its early-binding race on in-flight
-// misses. clearable is set once a subsequent load of this thread
-// completes (the entry then predates the thread's last load, so a
-// load-side barrier discards it).
-type staleEntry struct {
-	addr      uint8
-	val       uint64
-	clearable bool
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
 // Explore enumerates every interleaving of the shape under the
 // placement, up to the reorder bound.
 func Explore(s *Shape, pl Placement, mode sim.Mode, bound int) *Result {
@@ -88,9 +58,9 @@ func ExplorePar(s *Shape, pl Placement, mode sim.Mode, bound int, pool *runner.P
 	return exploreRun(s, pl, mode, bound, pool, true)
 }
 
-// exploreRun is the shared engine driver. The witness replay is
-// skipped when the caller only needs the verdict (the Minimize
-// lattice walk), keeping unsafe lattice points on the packed path.
+// exploreRun is the shared engine driver. The witness pass is skipped
+// when the caller only needs the verdict (the Minimize lattice walk,
+// Agreement).
 func exploreRun(s *Shape, pl Placement, mode sim.Mode, bound int, pool *runner.Pool, wantWitness bool) *Result {
 	r, _ := exploreReuse(s, pl, mode, bound, pool, wantWitness, nil)
 	return r
@@ -126,7 +96,7 @@ func exploreReuse(s *Shape, pl Placement, mode sim.Mode, bound int, pool *runner
 	sortOutcomes(res.Outcomes)
 	sortOutcomes(res.Forbidden)
 	if x.sawForbidden && wantWitness {
-		res.Witness = findWitness(s, x.ops, tso, bound)
+		res.Witness = x.witness()
 	}
 	return res, x
 }

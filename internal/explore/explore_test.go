@@ -2,8 +2,11 @@ package explore
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"armbar/internal/litmus"
+	"armbar/internal/runner"
 	"armbar/internal/sim"
 )
 
@@ -118,5 +121,80 @@ func TestWitness(t *testing.T) {
 	last := r.Witness[len(r.Witness)-1]
 	if want := "outcome "; len(last) < len(want) || last[:len(want)] != want {
 		t.Fatalf("witness does not end in an outcome line: %q", last)
+	}
+}
+
+// TestWitnessMP pins the exact trace the recording pass renders for
+// unfenced MP under WMM: the consumer warms its data copy, the
+// producer's stores commit in order, and the consumer sees the flag
+// but reads its invalidated data copy.
+func TestWitnessMP(t *testing.T) {
+	want := []string{
+		"T1: load data = 0",
+		"T0: store data=23 (buffered)",
+		"T0: commit data=23",
+		"T0: store flag=1 (buffered)",
+		"T0: commit flag=1",
+		"T1: load flag = 1",
+		"T1: load data = 0 (stale)",
+		"outcome flag=1 local=0",
+	}
+	r := Explore(MP(), 0, sim.WMM, DefaultBound)
+	if !reflect.DeepEqual(r.Witness, want) {
+		t.Fatalf("MP witness:\n  got  %q\n  want %q", r.Witness, want)
+	}
+}
+
+// TestWitnessIffUnsafe checks every classic shape's empty and naive
+// placements under both modes: a witness exists exactly when the
+// verdict is unsafe, and its last line names a forbidden outcome.
+func TestWitnessIffUnsafe(t *testing.T) {
+	for _, s := range All() {
+		for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
+			for _, pl := range []Placement{0, Naive(s)} {
+				r := Explore(s, pl, mode, DefaultBound)
+				if (len(r.Witness) > 0) == r.Safe() {
+					t.Errorf("%s%s %v: safe=%v but witness has %d lines",
+						s.Name, pl.Describe(s), mode, r.Safe(), len(r.Witness))
+					continue
+				}
+				if r.Safe() {
+					continue
+				}
+				last := r.Witness[len(r.Witness)-1]
+				o, ok := strings.CutPrefix(last, "outcome ")
+				found := false
+				for _, f := range r.Forbidden {
+					found = found || f == litmus.Outcome(o)
+				}
+				if !ok || !found {
+					t.Errorf("%s%s %v: last witness line %q names no outcome in %v",
+						s.Name, pl.Describe(s), mode, last, r.Forbidden)
+				}
+			}
+		}
+	}
+}
+
+// TestWitnessPoolWidthIndependent pins ExplorePar's promise for the
+// witness itself: the recording pass is sequential, so the trace is
+// the same at every pool width.
+func TestWitnessPoolWidthIndependent(t *testing.T) {
+	pools := map[int]*runner.Pool{}
+	for _, w := range []int{1, 2, 4} {
+		pools[w] = runner.New(w)
+		defer pools[w].Close()
+	}
+	for _, s := range Classic() {
+		for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
+			base := ExplorePar(s, 0, mode, DefaultBound, pools[1]).Witness
+			for _, w := range []int{2, 4} {
+				got := ExplorePar(s, 0, mode, DefaultBound, pools[w]).Witness
+				if !reflect.DeepEqual(got, base) {
+					t.Errorf("%s %v: witness at width %d differs from width 1:\n  %q\n  %q",
+						s.Name, mode, w, got, base)
+				}
+			}
+		}
 	}
 }

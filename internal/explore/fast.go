@@ -8,23 +8,22 @@ import (
 	"armbar/internal/metrics"
 )
 
-// This file is the explorer's throughput engine: an iterative
-// worklist search over compressed states (see pack.go for the two
-// representations). Where the witness replayer (witness.go) clones
-// heap states and builds string keys, this engine mutates exactly two
-// flat scratch states — the frame being expanded and the successor
-// under construction — and touches the heap only through the packed
-// visited table and the flat frame stack, both of which reach
-// steady-state capacity early. The visit loop (pop → mutate scratch →
-// pack → probe → push) allocates nothing; allocvet pins it. Popping a
-// frame is one memmove — the stack holds flat states, so no decode
-// step exists on the hot path at all.
+// This file is the explorer's engine: an iterative worklist search
+// over compressed states (see pack.go for the two representations).
+// It mutates exactly two flat scratch states — the frame being
+// expanded and the successor under construction — and touches the
+// heap only through the packed visited table and the flat frame
+// stack, both of which reach steady-state capacity early. The visit
+// loop (pop → mutate scratch → pack → probe → push) allocates
+// nothing; allocvet pins it. Popping a frame is one memmove — the
+// stack holds flat states, so no decode step exists on the hot path
+// at all.
 //
-// The engine and the replayer implement the same abstract semantics
-// (see the package comment) and the same state identity — the packed
-// encoding is injective over exactly the fields the old string key
-// enumerated — so reachable sets, outcome sets, and distinct-state
-// counts are bit-identical to the PR 9 explorer.
+// It is the only implementation of the abstract semantics (see the
+// package comment). Verdicts, reachable sets and witnesses all come
+// from it: a witness is a second, sequential pass in recording mode
+// (record.go), which notes each new state's parent and the step that
+// reached it.
 
 // fop is a placed op pre-lowered against the layout: the address fits
 // a byte and the store/swap value is replaced by its dictionary
@@ -42,7 +41,7 @@ type fop struct {
 type fastExplorer struct {
 	shape *Shape
 	pl    Placement
-	ops   [][]SOp // placed program, kept for the witness replayer
+	ops   [][]SOp // placed program (layout input)
 	fops  [][]fop // the same program lowered against the layout
 	tso   bool
 	bound int
@@ -62,6 +61,13 @@ type fastExplorer struct {
 	outcomes     map[litmus.Outcome]bool
 	forbidden    map[litmus.Outcome]bool
 	sawForbidden bool
+
+	// Witness recording (record.go); rec is nil when recording is off.
+	rec   []wrec         // per visited state, in insertion order
+	ids   []int32        // state id of each frame on the stack
+	curID int32          // state id of the frame being expanded
+	hitID int32          // first forbidden terminal's state id
+	hit   litmus.Outcome // and its outcome
 }
 
 // newFastExplorer builds an engine for one placed program. A non-nil
@@ -201,6 +207,10 @@ func (x *fastExplorer) expandOne() {
 	n := len(x.stack) - x.lay.stride
 	copy(x.cur, x.stack[n:])
 	x.stack = x.stack[:n]
+	if x.rec != nil {
+		x.curID = x.ids[len(x.ids)-1]
+		x.ids = x.ids[:len(x.ids)-1]
+	}
 
 	progressed := false
 	for u := range x.fops {
@@ -221,17 +231,21 @@ func (x *fastExplorer) expandOne() {
 }
 
 // emit packs the successor scratch state, probes the visited table,
-// and pushes newly discovered states onto the worklist.
-func (x *fastExplorer) emit() {
+// and pushes newly discovered states onto the worklist. st describes
+// the transition; only a recording pass keeps it.
+func (x *fastExplorer) emit(st wstep) {
 	x.lay.pack(x.next, x.pbuf)
 	if x.table.insert(x.pbuf, hashWords(x.pbuf)) {
 		x.stack = append(x.stack, x.next...)
+		if x.rec != nil {
+			x.record(st)
+		}
 	}
 }
 
-// issue generates the successors of thread u's next op, mirroring
-// witExplorer.issue. It returns false when the op cannot issue yet (a
-// drain barrier or RMW waiting on a non-empty buffer).
+// issue generates the successors of thread u's next op. It returns
+// false when the op cannot issue yet (a drain barrier or RMW waiting
+// on a non-empty buffer).
 func (x *fastExplorer) issue(u int) bool {
 	tl := &x.lay.th[u]
 	op := x.fops[u][x.cur[tl.hdrOff]]
@@ -247,7 +261,7 @@ func (x *fastExplorer) issue(u int) bool {
 		b := x.next[tl.bufOff+3*int(nbuf):]
 		b[0], b[1], b[2] = op.addr, op.vidx, x.next[tl.hdrOff+1] // level; rel clear
 		x.next[tl.hdrOff+2] = nbuf + 1
-		x.emit()
+		x.emit(wstep{kind: wStore, u: uint8(u), addr: op.addr, val: op.vidx})
 		return true
 
 	case SBarrier:
@@ -272,7 +286,7 @@ func (x *fastExplorer) issue(u int) bool {
 				}
 			}
 		}
-		x.emit()
+		x.emit(wstep{kind: wSwap, u: uint8(u), addr: op.addr, val: op.vidx, aux: old})
 		return true
 	}
 	panic("explore: unknown op code")
@@ -282,18 +296,17 @@ func (x *fastExplorer) issue(u int) bool {
 // from the own buffer, otherwise the fresh committed value plus — for
 // observed loads under WMM — every distinct stale view.
 func (x *fastExplorer) loads(u int, tl *thLayout, op fop) {
-	acq := op.code == SLoadAcq
 	nbuf := int(x.cur[tl.hdrOff+2])
 	// Store-buffer forwarding is mandatory when the buffer holds the
 	// line: read the newest pending value.
 	for k := nbuf - 1; k >= 0; k-- {
 		if x.cur[tl.bufOff+3*k] == op.addr {
-			x.finishLoad(u, tl, op, acq, x.cur[tl.bufOff+3*k+1], false)
+			x.finishLoad(u, tl, op, x.cur[tl.bufOff+3*k+1], wLoadFwd)
 			return
 		}
 	}
 	fresh := x.cur[x.lay.memOff+int(op.addr)]
-	x.finishLoad(u, tl, op, acq, fresh, false)
+	x.finishLoad(u, tl, op, fresh, wLoad)
 	if op.obs < 0 || x.cur[0] == 0 {
 		// Unobserved loads need no stale branch: the value is
 		// discarded, and the state effects are identical.
@@ -305,35 +318,40 @@ func (x *fastExplorer) loads(u int, tl *thLayout, op fop) {
 		if a != op.addr || vf == fresh {
 			continue
 		}
-		x.finishLoad(u, tl, op, acq, vf, true)
+		x.finishLoad(u, tl, op, vf, wLoadStale)
 	}
 }
 
-func (x *fastExplorer) finishLoad(u int, tl *thLayout, op fop, acq bool, val uint8, stale bool) {
+// finishLoad emits the successor in which thread u's load read val
+// (a dictionary index); kind says where the value came from.
+func (x *fastExplorer) finishLoad(u int, tl *thLayout, op fop, val uint8, kind wkind) {
 	copy(x.next, x.cur)
-	if stale {
+	if kind == wLoadStale {
 		x.next[0]-- // budget
 	}
 	x.next[tl.hdrOff]++
 	x.markClearable(tl)
-	if acq {
+	if op.code == SLoadAcq {
 		x.next[tl.hdrOff+3] = 0
 	}
 	if op.obs >= 0 {
 		x.next[x.lay.regsOff+int(op.obs)] = val
 	}
-	x.emit()
+	x.emit(wstep{kind: kind, u: uint8(u), addr: op.addr, val: val})
 }
 
-// barrier applies a standalone barrier's ordering effect, mirroring
-// witExplorer.barrier.
+// barrier applies a standalone barrier's ordering effect. Store
+// fences bump the drain level; full and DSB barriers wait for the
+// buffer to drain and then discard every stale view; load-side
+// barriers discard the views that predate the last load.
 func (x *fastExplorer) barrier(u int, tl *thLayout, op fop) bool {
+	st := wstep{kind: wBarrier, u: uint8(u), aux: uint8(op.bar)}
 	switch op.bar {
 	case isa.DMBSt:
 		copy(x.next, x.cur)
 		x.next[tl.hdrOff]++
 		x.next[tl.hdrOff+1]++ // drain level
-		x.emit()
+		x.emit(st)
 	case isa.DMBFull, isa.DSBFull, isa.DSBSt, isa.DSBLd:
 		if x.cur[tl.hdrOff+2] != 0 {
 			return false // blocks until the buffer drains
@@ -341,16 +359,16 @@ func (x *fastExplorer) barrier(u int, tl *thLayout, op fop) bool {
 		copy(x.next, x.cur)
 		x.next[tl.hdrOff]++
 		x.next[tl.hdrOff+3] = 0
-		x.emit()
+		x.emit(st)
 	case isa.DMBLd, isa.AddrDep, isa.CtrlISB:
 		copy(x.next, x.cur)
 		x.next[tl.hdrOff]++
 		x.dropClearable(tl)
-		x.emit()
+		x.emit(st)
 	case isa.DataDep, isa.CtrlDep, isa.ISB:
 		copy(x.next, x.cur)
 		x.next[tl.hdrOff]++
-		x.emit()
+		x.emit(st)
 	default:
 		badSlotBarrier(op.bar)
 	}
@@ -363,10 +381,7 @@ func badSlotBarrier(b isa.Barrier) {
 }
 
 // commits generates one successor per eligible store-buffer entry of
-// thread u. Under TSO only the head may drain; under WMM an entry may
-// drain early unless an older entry has a lower fence level, writes
-// the same line, or the entry is a release that is not yet oldest
-// (the same rule eligibleBuf states over the replayer's heap form).
+// thread u (see eligible).
 func (x *fastExplorer) commits(u int) bool {
 	tl := &x.lay.th[u]
 	nbuf := int(x.cur[tl.hdrOff+2])
@@ -397,13 +412,19 @@ func (x *fastExplorer) commits(u int) bool {
 				}
 			}
 		}
-		x.emit()
+		kind := wCommit
+		if k > 0 {
+			kind = wCommitOOO
+		}
+		x.emit(wstep{kind: kind, u: uint8(u), addr: eaddr, val: eval})
 	}
 	return any
 }
 
 // eligible reports whether buffer entry k of the current frame may
-// commit (flat-form twin of eligibleBuf).
+// commit. Under TSO only the head may drain; under WMM an entry may
+// drain early unless an older entry has a lower fence level, writes
+// the same line, or the entry is a release that is not yet oldest.
 func (x *fastExplorer) eligible(tl *thLayout, k int) bool {
 	if x.tso {
 		return k == 0
@@ -454,6 +475,11 @@ func (x *fastExplorer) terminal() {
 	if x.shape.Forbidden(x.rawRegs, x.rawMem) {
 		x.forbidden[o] = true
 		x.sawForbidden = true
+		if x.rec != nil {
+			// A recording pass stops at the first forbidden terminal.
+			x.hitID, x.hit = x.curID, o
+			x.stack, x.ids = x.stack[:0], x.ids[:0]
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func Sample(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs in
 // single subset check also proves sampling never observed a forbidden
 // outcome wherever the explorer claims safety.
 func Agreement(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs int, baseSeed int64) error {
-	r := Explore(s, pl, mode, DefaultBound)
+	r := exploreRun(s, pl, mode, DefaultBound, nil, false)
 	res := Sample(p, s, pl, mode, runs, baseSeed)
 	sampled := make([]litmus.Outcome, 0, len(res.Count))
 	for o := range res.Count {

@@ -100,12 +100,6 @@ func (s *Shape) Outcome(regs, final []uint64) litmus.Outcome {
 	return litmus.Fields(names, vals...)
 }
 
-func (s *Shape) initMem() []uint64 {
-	mem := make([]uint64, s.Lines)
-	copy(mem, s.Init)
-	return mem
-}
-
 // thread returns thread i's ops with the placed slot barriers
 // inserted.
 func (s *Shape) thread(i int, pl Placement) []SOp {

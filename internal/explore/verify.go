@@ -7,13 +7,6 @@ import (
 	"armbar/internal/sim"
 )
 
-// Verify explores the shape under one placement and reports whether
-// any forbidden outcome is reachable (Result.Safe), with the full
-// reachable set and — when unsafe — a witness trace.
-func Verify(s *Shape, pl Placement, mode sim.Mode, bound int) *Result {
-	return Explore(s, pl, mode, bound)
-}
-
 // MinReport is the result of searching a shape's placement lattice.
 type MinReport struct {
 	Shape     string

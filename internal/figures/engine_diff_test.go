@@ -9,13 +9,14 @@ import (
 )
 
 // TestEngineOutputIdentical is the workload-level differential proof
-// for the compiled engine: rendering the fast golden subset with the
-// interpreted engine must produce the same bytes as the compiled
-// default, at two seeds. The per-op differential in internal/sim
-// checks the executor against process(); this checks the compilers in
-// absmodel and scenario lower every experiment's op sequence
-// faithfully — ring addressing, barrier placement, loop trip counts,
-// rng draw order and all.
+// for the two program executors: rendering the fast golden subset with
+// the interpreted engine (every program walked by sim.Walk through the
+// per-op Thread methods) must produce the same bytes as the compiled
+// default, at two seeds. Both engines run the one program each
+// workload builds, so this checks the executors against each other
+// across every experiment's op mix — ring addressing, loop trip
+// counts, spins, rng draw order and all — while the fidelity of the
+// lowering itself is pinned by the golden digests.
 func TestEngineOutputIdentical(t *testing.T) {
 	defer sim.SetDefaultEngine(sim.EngineDefault)
 	for _, seed := range []int64{42, 7} {

@@ -798,8 +798,9 @@ func SeqlockVsPilot(o Options) *report.Table {
 	return t
 }
 
-// A64CrossCheck runs the two-store abstracted model both as the Go
-// closure body and as the paper's verbatim Algorithm-1 assembly
+// A64CrossCheck runs the two-store abstracted model both as Run's
+// micro-op program (the "closure" column, named for the original Go
+// closure encoding) and as the paper's verbatim Algorithm-1 assembly
 // (internal/a64) and reports the agreement — a self-validation table.
 func A64CrossCheck(o Options) *report.Table {
 	iters := o.scale(1200, 400)

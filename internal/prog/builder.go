@@ -53,6 +53,7 @@ type loopFrame struct {
 	count   int64
 	dep     uint8
 	skipIdx int32 // Jump emitted for a zero-trip loop, patched at EndLoop; -1 otherwise
+	live    bool  // every iteration runs at least one machine-visible op
 }
 
 // NewBuilder returns a builder for a platform whose pipeline issues
@@ -73,6 +74,9 @@ func (b *Builder) Table(addrs []uint64) int {
 
 func (b *Builder) emit(op Op) {
 	b.p.Ops = append(b.p.Ops, op)
+	if n := len(b.loopStack); n > 0 && !op.Code.IsControl() {
+		b.loopStack[n-1].live = true
+	}
 }
 
 func (b *Builder) mem(code Code, o Operand, v Value) {
@@ -193,7 +197,8 @@ func (b *Builder) spin(code Code, o Operand, v uint64, padNops int) {
 // `for i := 0; i < n; i++`, including n <= 0 running the body zero
 // times. The loop body observes the iteration index through
 // Counter(dep)/Ring(_, dep), where dep is the returned counter slot.
-// Loops nest; EndLoop closes the innermost.
+// Loops nest; EndLoop closes the innermost. A loop whose body runs no
+// machine-visible op is dropped at EndLoop: it costs no simulated time.
 func (b *Builder) Loop(n int) (dep int) {
 	d := len(b.loopStack)
 	if d >= MaxLoopDepth {
@@ -219,10 +224,23 @@ func (b *Builder) EndLoop() {
 	f := b.loopStack[len(b.loopStack)-1]
 	b.loopStack = b.loopStack[:len(b.loopStack)-1]
 	switch {
+	case !f.live:
+		// A body that runs no machine-visible op (empty, or only
+		// zero-trip inner loops) costs no simulated time, and its bare
+		// backedge would look like a control cycle to the executors:
+		// drop the loop, zero-trip jump included.
+		if f.skipIdx >= 0 {
+			b.p.Ops = b.p.Ops[:f.skipIdx]
+		} else {
+			b.p.Ops = b.p.Ops[:f.start]
+		}
 	case f.skipIdx >= 0:
 		b.p.Ops[f.skipIdx].Target = int32(len(b.p.Ops))
 	case f.count > 1:
 		b.emit(Op{Code: LoopEnd, Dep: f.dep, Target: f.start, Count: f.count})
+	}
+	if n := len(b.loopStack); n > 0 && f.live && f.skipIdx < 0 {
+		b.loopStack[n-1].live = true // a loop that runs makes its parent live
 	}
 	if int(f.dep)+1 > b.p.Depth {
 		b.p.Depth = int(f.dep) + 1

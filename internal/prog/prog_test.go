@@ -77,6 +77,26 @@ func TestBuilderNestedLoops(t *testing.T) {
 	}
 }
 
+// TestBuilderDropsEmptyLoops pins that loops whose bodies hold no
+// machine-visible op vanish — nested ones and zero-trip ones included —
+// instead of leaving bare backedges the executors would fold forever.
+func TestBuilderDropsEmptyLoops(t *testing.T) {
+	b := NewBuilder(1)
+	b.Load(Abs(64))
+	b.Loop(3)
+	b.Loop(0)
+	b.Load(Abs(64)) // never runs
+	b.EndLoop()
+	b.Loop(4)
+	b.EndLoop()
+	b.EndLoop()
+	b.Store(Abs(128), Imm(1))
+	p := b.MustBuild()
+	if p.Len() != 2 || p.Ops[0].Code != Load || p.Ops[1].Code != Store {
+		t.Fatalf("empty loops not dropped: %+v", p.Ops)
+	}
+}
+
 func TestBuilderZeroTripLoop(t *testing.T) {
 	b := NewBuilder(1)
 	b.Load(Abs(64))

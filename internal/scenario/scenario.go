@@ -161,26 +161,13 @@ func (s *Spec) Run(tr sim.Tracer) (*Result, error) {
 		m.SetInitial(a, s.Init[v])
 	}
 
-	compiled := sim.EngineDefault.Resolve() == sim.EngineCompiled
 	stats := make([]sim.ThreadStats, len(s.Threads))
 	for ti, th := range s.Threads {
-		ti, th := ti, th
 		loops := th.Loop
 		if loops <= 0 {
 			loops = 1
 		}
-		var handle *sim.Thread
-		if compiled {
-			handle = m.SpawnProgram(topo.CoreID(th.Core), compileThread(th, loops, addr, p.Cost.IssueWidth))
-		} else {
-			handle = m.Spawn(topo.CoreID(th.Core), func(t *sim.Thread) {
-				for l := 0; l < loops; l++ {
-					for _, op := range th.Ops {
-						runOp(t, op, addr)
-					}
-				}
-			})
-		}
+		handle := m.SpawnProgram(topo.CoreID(th.Core), compileThread(th, loops, addr, p.Cost.IssueWidth))
 		defer func() { stats[ti] = handle.Stats() }()
 	}
 	cycles := m.Run()
@@ -197,14 +184,14 @@ func (s *Spec) Run(tr sim.Tracer) (*Result, error) {
 	}, nil
 }
 
-// spinPadNops is the padding between spin polls, matching runOp's
-// interpreted spin loops.
+// spinPadNops is the padding between spin polls.
 const spinPadNops = 4
 
 // compileThread lowers one thread spec to a micro-op program: var
 // names resolve to absolute addresses, barrier names to isa values,
 // the loop to a counted loop, and spins to poll/pad/backedge
-// triplets. The op sequence matches the interpreted closure op for op.
+// triplets. The program is the thread's only description; both
+// engines execute it (see sim.SpawnProgram).
 func compileThread(th ThreadSpec, loops int, addr map[string]uint64, issueWidth float64) *prog.Program {
 	b := prog.NewBuilder(issueWidth)
 	b.Loop(loops)
@@ -244,49 +231,4 @@ func compileThread(th ThreadSpec, loops int, addr map[string]uint64, issueWidth 
 	}
 	b.EndLoop()
 	return b.MustBuild()
-}
-
-// runOp executes one op on a thread.
-func runOp(t *sim.Thread, op Op, addr map[string]uint64) {
-	a := addr[op.Var]
-	switch op.Op {
-	case "load":
-		t.Load(a)
-	case "loadacq":
-		t.LoadAcquire(a)
-	case "loadacqpc":
-		t.LoadAcquirePC(a)
-	case "store":
-		t.Store(a, op.Value)
-	case "storerel":
-		t.StoreRelease(a, op.Value)
-	case "fetchadd":
-		t.FetchAdd(a, op.Value)
-	case "swap":
-		t.Swap(a, op.Value)
-	case "cas":
-		t.CompareAndSwap(a, op.Value, op.New)
-	case "barrier":
-		b, _ := barrierByName(op.Barrier)
-		t.Barrier(b)
-	case "nops":
-		t.Nops(op.N)
-	case "work":
-		t.Work(float64(op.N))
-	case "spin_eq":
-		// Wait until the variable equals Value.
-		for t.Load(a) != op.Value {
-			t.Nops(4)
-		}
-	case "spin_ne":
-		for t.Load(a) == op.Value {
-			t.Nops(4)
-		}
-	case "spin_ge":
-		// Wait until the variable reaches Value (epoch-safe: the value
-		// may be advanced past the target between polls).
-		for t.Load(a) < op.Value {
-			t.Nops(4)
-		}
-	}
 }

@@ -21,12 +21,17 @@ import (
 // differential engine test hold bit-for-bit across engines.
 
 // SpawnProgram starts a simulated thread pinned to the given core
-// executing the compiled program. Like Spawn, it must be called before
-// Run. The program must validate; programs built by prog.Builder
-// always do.
+// executing the program on the process-wide engine: natively under
+// the compiled engine, or as a closure thread running Walk under
+// EngineInterp. It is the one place a program workload's engine is
+// chosen. Like Spawn, it must be called before Run. The program must
+// validate; programs built by prog.Builder always do.
 func (m *Machine) SpawnProgram(core topo.CoreID, p *prog.Program) *Thread {
 	if err := p.Validate(); err != nil {
 		panic(fmt.Sprintf("sim: SpawnProgram: %v", err))
+	}
+	if EngineDefault.Resolve() == EngineInterp {
+		return m.Spawn(core, func(t *Thread) { Walk(t, p) })
 	}
 	t := m.spawn(core)
 	t.compiled = true

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -118,33 +119,38 @@ func TestEngineDifferential(t *testing.T) {
 		for _, seed := range []int64{42, 7} {
 			interp := runDifferential(t, mode, seed, false)
 			comp := runDifferential(t, mode, seed, true)
-			if interp.elapsed != comp.elapsed {
-				t.Errorf("mode %v seed %d: elapsed interp %v != compiled %v",
-					mode, seed, interp.elapsed, comp.elapsed)
-			}
-			if interp.stats != comp.stats {
-				t.Errorf("mode %v seed %d: stats diverge\ninterp:   %+v\ncompiled: %+v",
-					mode, seed, interp.stats, comp.stats)
-			}
-			if !reflect.DeepEqual(interp.final, comp.final) {
-				t.Errorf("mode %v seed %d: final memory diverges\ninterp:   %v\ncompiled: %v",
-					mode, seed, interp.final, comp.final)
-			}
-			if !reflect.DeepEqual(interp.events, comp.events) {
-				n := len(interp.events)
-				if len(comp.events) < n {
-					n = len(comp.events)
-				}
-				for i := 0; i < n; i++ {
-					if interp.events[i] != comp.events[i] {
-						t.Fatalf("mode %v seed %d: trace diverges at event %d\ninterp:   %+v\ncompiled: %+v",
-							mode, seed, i, interp.events[i], comp.events[i])
-					}
-				}
-				t.Fatalf("mode %v seed %d: trace length %d (interp) != %d (compiled)",
-					mode, seed, len(interp.events), len(comp.events))
+			sameRun(t, fmt.Sprintf("mode %v seed %d", mode, seed), interp, comp)
+		}
+	}
+}
+
+// sameRun fails the test unless the interpreted and compiled
+// observations agree on clock, stats, final memory and every traced
+// event, reporting the first divergent event.
+func sameRun(t *testing.T, what string, interp, comp diffRun) {
+	t.Helper()
+	if interp.elapsed != comp.elapsed {
+		t.Errorf("%s: elapsed interp %v != compiled %v", what, interp.elapsed, comp.elapsed)
+	}
+	if interp.stats != comp.stats {
+		t.Errorf("%s: stats diverge\ninterp:   %+v\ncompiled: %+v", what, interp.stats, comp.stats)
+	}
+	if !reflect.DeepEqual(interp.final, comp.final) {
+		t.Errorf("%s: final memory diverges\ninterp:   %v\ncompiled: %v", what, interp.final, comp.final)
+	}
+	if !reflect.DeepEqual(interp.events, comp.events) {
+		n := len(interp.events)
+		if len(comp.events) < n {
+			n = len(comp.events)
+		}
+		for i := 0; i < n; i++ {
+			if interp.events[i] != comp.events[i] {
+				t.Fatalf("%s: trace diverges at event %d\ninterp:   %+v\ncompiled: %+v",
+					what, i, interp.events[i], comp.events[i])
 			}
 		}
+		t.Fatalf("%s: trace length %d (interp) != %d (compiled)",
+			what, len(interp.events), len(comp.events))
 	}
 }
 

@@ -5,23 +5,25 @@ import (
 	"sync/atomic"
 )
 
-// Engine selects how workload packages drive the simulator: the
-// compiled engine lowers deterministic op sequences to micro-op
-// programs (package prog) executed by the dispatch table in
-// compiled.go; the interpreted engine runs the original Go closures
-// through the per-op Thread methods. Both produce byte-identical
+// Engine selects how SpawnProgram executes a micro-op program
+// (package prog): the compiled engine steps it natively through the
+// dispatch table in compiled.go; the interpreted engine runs it as a
+// closure thread that walks the same program op by op through the
+// per-op Thread methods (Walk). Workloads build one program either
+// way, and only SpawnProgram consults the engine; closure workloads
+// (Spawn) run the same under both. The two produce byte-identical
 // results — the golden digest and differential tests enforce it — so
-// the choice is purely a performance escape hatch (-engine in
-// cmd/armbar).
+// the choice is an escape hatch for checking the executor (-engine in
+// cmd/armbar and cmd/armsim).
 type Engine int
 
 const (
 	// EngineDefault resolves to the process-wide default (compiled
 	// unless SetDefaultEngine overrode it).
 	EngineDefault Engine = iota
-	// EngineCompiled precompiles op sequences into micro-op programs.
+	// EngineCompiled steps programs natively (the dispatch table).
 	EngineCompiled
-	// EngineInterp runs the original closure bodies op by op.
+	// EngineInterp walks programs through the per-op Thread methods.
 	EngineInterp
 )
 
@@ -54,9 +56,9 @@ func ParseEngine(s string) (Engine, error) {
 // which resolves to compiled.
 var defaultEngine atomic.Int32
 
-// SetDefaultEngine installs the process-wide default used when a
-// workload's config leaves the engine unset. Passing EngineDefault
-// restores the built-in default (compiled).
+// SetDefaultEngine installs the process-wide engine SpawnProgram
+// uses. Passing EngineDefault restores the built-in default
+// (compiled).
 func SetDefaultEngine(e Engine) { defaultEngine.Store(int32(e)) }
 
 // Resolve maps EngineDefault to the process-wide default.

@@ -5,11 +5,11 @@
 // in-process `armbar perfcheck` regression gate, which reruns them via
 // testing.Benchmark and compares against that snapshot.
 //
-// The workload bodies respect the process-wide engine default: under
-// the compiled engine (the default) each body is lowered to a micro-op
-// program, so the snapshot measures the path the figure generators
-// actually take. `armbar perfcheck` flips the default to measure both
-// engines and print their ratio.
+// Each workload body is lowered to a micro-op program and spawned
+// with SpawnProgram, so it runs on the process-wide engine: under the
+// compiled default the snapshot measures the path the figure
+// generators actually take, and `armbar perfcheck` flips the default
+// to walk the same programs and print the engines' ratio.
 package simbench
 
 import (
@@ -53,26 +53,15 @@ func newBenchMachine() *sim.Machine {
 	return sim.New(sim.Config{Plat: platform.Kunpeng916(), Seed: 1, MaxTime: 1e18})
 }
 
-// spawnLoop starts a thread running n iterations of the given body on
-// whichever engine is the process default: compiled engines get the
-// body lowered once into a counted-loop program, the interpreted
-// engine replays the Thread calls per iteration. Both issue the
-// identical machine-visible op sequence.
-func spawnLoop(m *sim.Machine, core topo.CoreID, n int,
-	lower func(b *prog.Builder, i int), interp func(t *sim.Thread, i int)) {
-	if sim.EngineDefault.Resolve() == sim.EngineCompiled {
-		b := prog.NewBuilder(platform.Kunpeng916().Cost.IssueWidth)
-		i := b.Loop(n)
-		lower(b, i)
-		b.EndLoop()
-		m.SpawnProgram(core, b.MustBuild())
-		return
-	}
-	m.Spawn(core, func(t *sim.Thread) {
-		for i := 0; i < n; i++ {
-			interp(t, i)
-		}
-	})
+// spawnLoop starts a thread running n iterations of the body lowered
+// once into a counted-loop program; SpawnProgram runs it on the
+// process-default engine.
+func spawnLoop(m *sim.Machine, core topo.CoreID, n int, lower func(b *prog.Builder, i int)) {
+	b := prog.NewBuilder(platform.Kunpeng916().Cost.IssueWidth)
+	i := b.Loop(n)
+	lower(b, i)
+	b.EndLoop()
+	m.SpawnProgram(core, b.MustBuild())
 }
 
 // RendezvousLoadHit is the floor of a simulated operation: cache-hit
@@ -84,8 +73,7 @@ func RendezvousLoadHit(b *testing.B) {
 	m := newBenchMachine()
 	addr := m.Alloc(1)
 	spawnLoop(m, 0, b.N,
-		func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) },
-		func(t *sim.Thread, i int) { t.Load(addr) })
+		func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run()
@@ -102,8 +90,7 @@ func RendezvousTwoThreads(b *testing.B) {
 	for k, addr := range []uint64{a1, a2} {
 		addr := addr
 		spawnLoop(m, topo.CoreID(4*k), n,
-			func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) },
-			func(t *sim.Thread, i int) { t.Load(addr) })
+			func(pb *prog.Builder, i int) { pb.Load(prog.Abs(addr)) })
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -119,8 +106,7 @@ func StoreCommit(b *testing.B) {
 	m := newBenchMachine()
 	addr := m.Alloc(1)
 	spawnLoop(m, 0, b.N,
-		func(pb *prog.Builder, i int) { pb.Store(prog.Abs(addr), prog.Counter(i)) },
-		func(t *sim.Thread, i int) { t.Store(addr, uint64(i)) })
+		func(pb *prog.Builder, i int) { pb.Store(prog.Abs(addr), prog.Counter(i)) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run()
@@ -136,10 +122,6 @@ func StoreDMBFull(b *testing.B) {
 		func(pb *prog.Builder, i int) {
 			pb.Store(prog.Abs(addr), prog.Counter(i))
 			pb.Barrier(isa.DMBFull)
-		},
-		func(t *sim.Thread, i int) {
-			t.Store(addr, uint64(i))
-			t.Barrier(isa.DMBFull)
 		})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -147,10 +129,9 @@ func StoreDMBFull(b *testing.B) {
 }
 
 // CompiledDispatch measures the compiled engine's dispatch loop in
-// isolation — always a program, regardless of the engine default: a
-// solo counted loop of cache-hit loads runs entirely inside one
-// stepProgram call, so the per-op cost is one opExec table call plus
-// the load bookkeeping and the free LoopEnd fold. allocvet pins every
+// isolation: a solo counted loop of cache-hit loads runs entirely
+// inside one stepProgram call, so the per-op cost is one opExec table
+// call plus the load bookkeeping and the free LoopEnd fold. allocvet pins every
 // function on this path; the snapshot pins it at 0 allocs/op.
 func CompiledDispatch(b *testing.B) {
 	m := newBenchMachine()
