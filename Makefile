@@ -87,11 +87,11 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Simulator hot-path microbenchmarks (rendezvous, store commit, DMB,
-# cache lookup, directory bitsets at 1024 cores, barrier scaling,
-# explorer throughput).
+# compiled dispatch, closure-thread spin, cache lookup, directory
+# bitsets at 1024 cores, barrier scaling, explorer throughput).
 .PHONY: bench-sim
 bench-sim:
-	$(GO) test -run '^$$' -bench 'Rendezvous|StoreCommit|StoreDMB|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates' -benchmem ./internal/sim ./internal/cellcache ./internal/mesi ./internal/barrier ./internal/explore
+	$(GO) test -run '^$$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch|ClosureSpinPause|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates' -benchmem ./internal/sim ./internal/cellcache ./internal/mesi ./internal/barrier ./internal/explore
 
 # Regenerate the committed BENCH_sim.json snapshot from bench-sim.
 .PHONY: bench-snapshot

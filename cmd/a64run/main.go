@@ -150,20 +150,27 @@ func run(s *spec, p *platform.Platform, seed int64) ([]uint64, error) {
 		}
 		progs[i] = prog
 	}
+	// Per-thread result and error slots: closures share only
+	// write-only Go state, read after Run (see sim.Machine.Spawn).
 	results := make([]uint64, len(s.threads))
-	var execErr error
+	errs := make([]error, len(s.threads))
 	for i, th := range s.threads {
 		i, th := i, th
 		m.Spawn(topo.CoreID(th.core), func(t *sim.Thread) {
 			regs, _, err := progs[i].Exec(t, a64.Regs{}, 0)
-			if err != nil && execErr == nil {
-				execErr = fmt.Errorf("thread %d: %w", i, err)
+			if err != nil {
+				errs[i] = fmt.Errorf("thread %d: %w", i, err)
 			}
 			results[i] = regs[0]
 		})
 	}
 	m.Run()
-	return results, execErr
+	for _, err := range errs {
+		if err != nil {
+			return results, err
+		}
+	}
+	return results, nil
 }
 
 const example = `platform Kunpeng916

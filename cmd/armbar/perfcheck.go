@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"strings"
 	"testing"
@@ -24,7 +23,7 @@ func perfcheckMain(argv []string) int {
 	snapPath := fs.String("snapshot", "BENCH_sim.json", "committed benchmark snapshot to gate against")
 	threshold := fs.Float64("threshold", 1.8, "fail when ns/op exceeds the snapshot by this ratio")
 	improve := fs.Float64("improve-threshold", 1.5, "fail when ns/op improves beyond this ratio (stale snapshot; 0 disables)")
-	runs := fs.Int("runs", 3, "repetitions per benchmark; the fastest repetition is compared (noise guard)")
+	runs := fs.Int("runs", 3, "repetitions per benchmark; the median repetition is compared (noise guard)")
 	handicap := fs.Float64("handicap", 1, "multiply measured ns/op — inject a synthetic slowdown to demonstrate the gate")
 	history := fs.String("history", "BENCH_history.jsonl", "benchmark history (JSONL of snapshots); shown when present, \"\" disables")
 	historyN := fs.Int("history-n", 5, "history entries to show")
@@ -71,24 +70,28 @@ func perfcheckMain(argv []string) int {
 
 	cur := make([]perfgate.Bench, 0, len(simbench.Benches))
 	for _, nb := range simbench.Benches {
-		best := perfgate.Bench{Name: nb.Name, NsPerOp: math.Inf(1)}
+		reps := make([]perfgate.Bench, 0, *runs)
 		for r := 0; r < *runs; r++ {
 			res := testing.Benchmark(nb.Fn)
 			if res.N == 0 {
 				continue
 			}
-			ns := float64(res.T.Nanoseconds()) / float64(res.N)
-			if ns < best.NsPerOp {
-				best.NsPerOp = ns
-				best.Iters = int64(res.N)
-				best.BytesPerOp = res.AllocedBytesPerOp()
-				best.AllocsPerOp = res.AllocsPerOp()
-			}
+			reps = append(reps, perfgate.Bench{
+				Name:        nb.Name,
+				Iters:       int64(res.N),
+				NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+				BytesPerOp:  res.AllocedBytesPerOp(),
+				AllocsPerOp: res.AllocsPerOp(),
+			})
 		}
-		best.NsPerOp *= *handicap
-		fmt.Fprintf(os.Stderr, "# %-32s %10.1f ns/op %6d B/op %4d allocs/op\n",
-			best.Name, best.NsPerOp, best.BytesPerOp, best.AllocsPerOp)
-		cur = append(cur, best)
+		if len(reps) == 0 {
+			continue // reported as "not measured" by Compare
+		}
+		med := perfgate.Median(reps)
+		med.NsPerOp *= *handicap
+		fmt.Fprintf(os.Stderr, "# %-32s %10.1f ns/op %6d B/op %4d allocs/op (median of %d)\n",
+			med.Name, med.NsPerOp, med.BytesPerOp, med.AllocsPerOp, len(reps))
+		cur = append(cur, med)
 	}
 
 	// Engine ratio: remeasure the two store-path benchmarks with the

@@ -60,8 +60,8 @@ func TestFenceVetSubcommand(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0 (stdout %q, stderr %q)", code, out.String(), errb.String())
 	}
 	for _, want := range []string{
-		"minimal={push pull}",  // MP under WMM
-		"pilot: chan - avail",  // the removal the paper derives
+		"minimal={push pull}", // MP under WMM
+		"pilot: chan - avail", // the removal the paper derives
 		"pilot: chan - publish",
 	} {
 		if !strings.Contains(out.String(), want) {

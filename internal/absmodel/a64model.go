@@ -32,8 +32,11 @@ func RunA64(cfg Config) (Result, error) {
 	m := sim.New(sim.Config{Plat: cfg.Plat, Mode: sim.WMM, Seed: cfg.Seed})
 	arrA := m.Alloc(cfg.Lines)
 	arrB := m.Alloc(cfg.Lines)
-	var execErr error
+	// One error slot per thread: closures share only write-only Go
+	// state, read after Run (see sim.Machine.Spawn).
+	var execErrs [2]error
 	for i := 0; i < 2; i++ {
+		i := i
 		m.Spawn(cfg.Cores[i], func(t *sim.Thread) {
 			iters := cfg.Iters
 			for iters > 0 {
@@ -46,16 +49,18 @@ func RunA64(cfg Config) (Result, error) {
 				regs[1] = arrB - 64
 				regs[2] = 1
 				regs[5] = uint64(batch)
-				if _, _, err := prog.Exec(t, regs, 0); err != nil && execErr == nil {
-					execErr = err
+				if _, _, err := prog.Exec(t, regs, 0); err != nil && execErrs[i] == nil {
+					execErrs[i] = err
 				}
 				iters -= batch
 			}
 		})
 	}
 	cycles := m.Run()
-	if execErr != nil {
-		return Result{}, execErr
+	for _, err := range execErrs {
+		if err != nil {
+			return Result{}, err
+		}
 	}
 	return Result{
 		Config:  cfg,

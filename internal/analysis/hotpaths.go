@@ -31,8 +31,8 @@ var DeterministicPackages = map[string]bool{
 // per-operation critical path — the code the BENCH_sim.json perf gate
 // pins at 0 allocs/op (BenchmarkRendezvousLoadHit,
 // BenchmarkRendezvousTwoThreads, BenchmarkStoreCommit,
-// BenchmarkStoreDMBFull). allocvet flags allocation-forcing constructs
-// inside them. Keys are "importpath.Receiver.name" (receiver
+// BenchmarkStoreDMBFull, BenchmarkClosureSpinPause). allocvet flags
+// allocation-forcing constructs inside them. Keys are "importpath.Receiver.name" (receiver
 // star-stripped) or "importpath.name" for plain functions.
 //
 // Deliberately excluded: addrTimes.grow and Directory.line (rare
@@ -58,6 +58,17 @@ var HotPathFuncs = map[string]bool{
 	"armbar/internal/sim.runHeap.fixMin":      true,
 	"armbar/internal/sim.runHeap.popMin":      true,
 	"armbar/internal/sim.runHeap.down":        true,
+
+	// Closure threads' local work, served out of line, and the
+	// servers' stop check (sched.go, thread.go).
+	// BenchmarkClosureSpinPause pins the Nops path at 0 allocs/op.
+	"armbar/internal/sim.Machine.resume":        true,
+	"armbar/internal/sim.Thread.await":          true,
+	"armbar/internal/sim.Machine.serveDeferred": true,
+	"armbar/internal/sim.Thread.Nops":           true,
+	"armbar/internal/sim.Thread.Work":           true,
+	"armbar/internal/sim.Thread.work":           true,
+	"armbar/internal/sim.Thread.AllFinished":    true,
 
 	// Operation engine (internal/sim/thread.go, machine.go).
 	"armbar/internal/sim.Thread.op":            true,

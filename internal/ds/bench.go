@@ -142,10 +142,10 @@ func Run(cfg Config) Result {
 	}
 	totalOps = cfg.Threads * cfg.Rounds * opsOf()
 
-	remaining := int64(cfg.Threads)
+	clients := make([]*sim.Thread, cfg.Threads)
 	for i := 0; i < cfg.Threads; i++ {
 		i := i
-		m.Spawn(cores[i], func(t *sim.Thread) {
+		clients[i] = m.Spawn(cores[i], func(t *sim.Thread) {
 			for r := 0; r < cfg.Rounds; r++ {
 				switch cfg.Struct {
 				case Queue:
@@ -232,12 +232,11 @@ func Run(cfg Config) Result {
 					}
 				}
 			}
-			remaining--
 		})
 	}
 	for _, s := range servers {
 		s := s
-		m.Spawn(serverCore, func(t *sim.Thread) { s.Run(t, &remaining) })
+		m.Spawn(serverCore, func(t *sim.Thread) { s.Run(t, clients) })
 	}
 
 	cycles := m.Run()

@@ -12,8 +12,8 @@ import (
 // package's own tests do. Slot kinds mirror the barriers the paper
 // (and internal/litmus) place in each shape.
 
-func load(addr, obs int) SOp     { return SOp{Code: SLoad, Addr: addr, Obs: obs} }
-func warm(addr int) SOp          { return SOp{Code: SLoad, Addr: addr, Obs: -1} }
+func load(addr, obs int) SOp { return SOp{Code: SLoad, Addr: addr, Obs: obs} }
+func warm(addr int) SOp      { return SOp{Code: SLoad, Addr: addr, Obs: -1} }
 func store(addr int, v uint64) SOp {
 	return SOp{Code: SStore, Addr: addr, Val: v, Obs: -1}
 }
@@ -42,7 +42,7 @@ func MP() *Shape {
 			{Thread: 0, At: 1, Bar: isa.DMBSt, Label: "push"},
 			{Thread: 1, At: 2, Bar: isa.DMBLd, Label: "pull"},
 		},
-		Regs: []string{"flag", "local"},
+		Regs:      []string{"flag", "local"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 1 && r[1] != 23 },
 	}
 }
@@ -65,7 +65,7 @@ func SB() *Shape {
 			{Thread: 0, At: 1, Bar: isa.DMBFull, Label: "t0"},
 			{Thread: 1, At: 1, Bar: isa.DMBFull, Label: "t1"},
 		},
-		Regs: []string{"r0", "r1"},
+		Regs:      []string{"r0", "r1"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 0 && r[1] == 0 },
 	}
 }
@@ -162,7 +162,7 @@ func LB() *Shape {
 			{Thread: 0, At: 1, Bar: isa.DataDep, Label: "t0"},
 			{Thread: 1, At: 1, Bar: isa.DataDep, Label: "t1"},
 		},
-		Regs: []string{"r0", "r1"},
+		Regs:      []string{"r0", "r1"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 1 && r[1] == 1 },
 	}
 }
@@ -211,7 +211,7 @@ func CoRR() *Shape {
 		Slots: []Slot{
 			{Thread: 1, At: 1, Bar: isa.AddrDep, Label: "dep"},
 		},
-		Regs: []string{"r1", "r2"},
+		Regs:      []string{"r1", "r2"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 1 && r[1] == 0 },
 	}
 }
@@ -249,7 +249,7 @@ func SBRMW() *Shape {
 			{swap(0, 1, -1), load(1, 0)},
 			{swap(1, 1, -1), load(0, 1)},
 		},
-		Regs: []string{"r0", "r1"},
+		Regs:      []string{"r0", "r1"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] == 0 && r[1] == 0 },
 	}
 }
@@ -278,7 +278,7 @@ func Chan() *Shape {
 			{Thread: 0, At: 2, Bar: isa.DMBSt, Label: "publish"},
 			{Thread: 1, At: 2, Bar: isa.DMBLd, Label: "consume"},
 		},
-		Regs: []string{"ready", "flag", "local"},
+		Regs:      []string{"ready", "flag", "local"},
 		Forbidden: func(r, _ []uint64) bool { return r[1] == 1 && r[2] != 23 },
 	}
 }
@@ -301,7 +301,7 @@ func Pilot() *Shape {
 			{store(0, msg)},
 			{warm(0), load(0, 0)},
 		},
-		Regs: []string{"word"},
+		Regs:      []string{"word"},
 		Forbidden: func(r, _ []uint64) bool { return r[0] != old && r[0] != msg },
 	}
 }

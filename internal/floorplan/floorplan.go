@@ -163,12 +163,12 @@ func Run(cfg Config) Result {
 		splitBits++
 	}
 	nodeCount := 0
-	remaining := int64(cfg.Threads)
+	clients := make([]*sim.Thread, cfg.Threads)
 	in := cfg.In
 
 	for ti := 0; ti < cfg.Threads; ti++ {
 		ti := ti
-		m.Spawn(cores[ti], func(t *sim.Thread) {
+		clients[ti] = m.Spawn(cores[ti], func(t *sim.Thread) {
 			nodes := 0
 			var walk func(i int, mask uint32)
 			walk = func(i int, mask uint32) {
@@ -198,11 +198,10 @@ func Run(cfg Config) Result {
 				walkRest(splitBits, uint32(prefix))
 			}
 			nodeCount += nodes
-			remaining--
 		})
 	}
 	if server != nil {
-		m.Spawn(serverCore, func(t *sim.Thread) { server.Run(t, &remaining) })
+		m.Spawn(serverCore, func(t *sim.Thread) { server.Run(t, clients) })
 	}
 
 	cycles := m.Run()

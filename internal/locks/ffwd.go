@@ -167,12 +167,12 @@ func (l *FFWDLock) Exec(t *sim.Thread, c int, cs CS, arg uint64) uint64 {
 
 // Run is the dedicated server loop: sweep all clients, serve every
 // pending request found, publish all responses with one shared Y
-// barrier (plain mode). It exits when *remaining reaches zero (the
-// count of client threads still working).
-func (s *Server) Run(t *sim.Thread, remaining *int64) {
+// barrier (plain mode). It exits once every client thread has
+// finished (see sim.Thread.AllFinished).
+func (s *Server) Run(t *sim.Thread, clients []*sim.Thread) {
 	l := s.l
 	pending := make([]int, 0, l.nClients)
-	for *remaining > 0 {
+	for !t.AllFinished(clients) {
 		pending = pending[:0]
 		for c := 0; c < l.nClients; c++ {
 			if l.pilot {

@@ -233,23 +233,19 @@ func Bench(cfg BenchConfig) BenchResult {
 	}
 
 	totalOps := cfg.Threads * cfg.Ops
-	// Thread closures run strictly one at a time (they are coroutines
-	// of the one goroutine driving the machine), so this plain counter
-	// is safely shared.
-	remaining := int64(cfg.Threads)
+	clients := make([]*sim.Thread, cfg.Threads)
 	for i := 0; i < cfg.Threads; i++ {
 		i := i
 		cs := makeCS(i)
-		m.Spawn(cores[i], func(t *sim.Thread) {
+		clients[i] = m.Spawn(cores[i], func(t *sim.Thread) {
 			for op := 0; op < cfg.Ops; op++ {
 				lock.Exec(t, i, cs, uint64(op))
 				t.Nops(cfg.Interval)
 			}
-			remaining--
 		})
 	}
 	if server != nil {
-		m.Spawn(serverCore, func(t *sim.Thread) { server.Run(t, &remaining) })
+		m.Spawn(serverCore, func(t *sim.Thread) { server.Run(t, clients) })
 	}
 
 	cycles := m.Run()

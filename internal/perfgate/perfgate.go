@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 )
 
@@ -63,6 +64,20 @@ func Load(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("perfgate: %s holds no benchmarks", path)
 	}
 	return &s, nil
+}
+
+// Median returns the repetition with the median ns/op among repeated
+// measurements of one benchmark — the lower middle one for an even
+// count — or a zero Bench when there are none. The gate compares this
+// rather than a single sample: one descheduled or lucky repetition on
+// a shared host then moves neither side of the two-sided gate.
+func Median(runs []Bench) Bench {
+	if len(runs) == 0 {
+		return Bench{}
+	}
+	sorted := append([]Bench(nil), runs...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].NsPerOp < sorted[j].NsPerOp })
+	return sorted[(len(sorted)-1)/2]
 }
 
 // Delta is the comparison of one benchmark against the snapshot.

@@ -16,6 +16,34 @@ func snap() *Snapshot {
 	}
 }
 
+func TestMedianPicksMiddleRepetition(t *testing.T) {
+	runs := []Bench{
+		{Name: "BenchmarkA", NsPerOp: 900, Iters: 1},
+		{Name: "BenchmarkA", NsPerOp: 300, Iters: 2},
+		{Name: "BenchmarkA", NsPerOp: 510, Iters: 3},
+	}
+	if got := Median(runs); got.NsPerOp != 510 || got.Iters != 3 {
+		t.Fatalf("Median = %+v, want the 510 ns/op repetition", got)
+	}
+	if runs[0].NsPerOp != 900 {
+		t.Fatal("Median reordered its argument")
+	}
+	// Even count: the lower middle repetition, a real sample.
+	if got := Median(runs[:2]); got.NsPerOp != 300 {
+		t.Fatalf("Median of two = %+v, want the 300 ns/op repetition", got)
+	}
+	if got := Median(nil); got != (Bench{}) {
+		t.Fatalf("Median(nil) = %+v, want zero", got)
+	}
+	// One slow outlier among three no longer decides the gate, and
+	// neither does one lucky fast one.
+	slow := []Bench{{NsPerOp: 500}, {NsPerOp: 2000}, {NsPerOp: 510}}
+	fast := []Bench{{NsPerOp: 500}, {NsPerOp: 100}, {NsPerOp: 510}}
+	if Median(slow).NsPerOp != 510 || Median(fast).NsPerOp != 500 {
+		t.Fatalf("medians %v / %v, want 510 / 500", Median(slow).NsPerOp, Median(fast).NsPerOp)
+	}
+}
+
 func TestComparePasses(t *testing.T) {
 	cur := []Bench{
 		{Name: "BenchmarkA", NsPerOp: 520, AllocsPerOp: 0},

@@ -8,9 +8,9 @@ import (
 
 // Operand is a memory op's address, resolved at build time.
 type Operand struct {
-	mode  AddrMode
-	addr  uint64 // absolute address or table index
-	dep   uint8
+	mode AddrMode
+	addr uint64 // absolute address or table index
+	dep  uint8
 }
 
 // Abs addresses memory at a fixed address.

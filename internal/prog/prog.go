@@ -29,18 +29,18 @@ const (
 	// Machine-visible ops: each dispatches exactly one simulated
 	// operation, identical to the corresponding Thread method.
 	Load      Code = iota // relaxed load
-	LoadAcq                // LDAR
-	LoadAcqPC              // LDAPR
-	Store                  // relaxed store (into the store buffer)
-	StoreRel               // STLR
-	Barrier                // standalone order-preserving instruction
-	Work                   // local computation, Cycles long
-	FetchAdd               // LSE atomic add, returns old (discarded)
-	Swap                   // LSE atomic swap
-	CAS                    // LSE compare-and-swap
-	SpinEQ                 // relaxed load; fall through until value == Val, then jump to Target
-	SpinNE                 // relaxed load; fall through until value != Val, then jump to Target
-	SpinGE                 // relaxed load; fall through until value >= Val, then jump to Target
+	LoadAcq               // LDAR
+	LoadAcqPC             // LDAPR
+	Store                 // relaxed store (into the store buffer)
+	StoreRel              // STLR
+	Barrier               // standalone order-preserving instruction
+	Work                  // local computation, Cycles long
+	FetchAdd              // LSE atomic add, returns old (discarded)
+	Swap                  // LSE atomic swap
+	CAS                   // LSE compare-and-swap
+	SpinEQ                // relaxed load; fall through until value == Val, then jump to Target
+	SpinNE                // relaxed load; fall through until value != Val, then jump to Target
+	SpinGE                // relaxed load; fall through until value >= Val, then jump to Target
 
 	// Free control codes: pure pc/counter updates, no simulated time,
 	// no dispatch — they correspond to Go-level control flow in the

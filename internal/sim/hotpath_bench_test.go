@@ -17,3 +17,4 @@ func BenchmarkRendezvousTwoThreads(b *testing.B) { simbench.RendezvousTwoThreads
 func BenchmarkStoreCommit(b *testing.B)          { simbench.StoreCommit(b) }
 func BenchmarkStoreDMBFull(b *testing.B)         { simbench.StoreDMBFull(b) }
 func BenchmarkCompiledDispatch(b *testing.B)     { simbench.CompiledDispatch(b) }
+func BenchmarkClosureSpinPause(b *testing.B)     { simbench.ClosureSpinPause(b) }

@@ -3,10 +3,13 @@
 // ordinary Go closures running against a *Thread handle, or compiled
 // micro-op programs (package prog). Machine.Run drives them all from
 // one loop on the caller's goroutine (see sched.go): closure threads
-// run as coroutines, each executing its own memory accesses, barriers
-// and batches of local work inline while it is the thread with the
-// smallest virtual time and yielding to the driver otherwise. Given
-// one seed, a run is fully deterministic.
+// run as coroutines, each executing its own memory accesses and
+// barriers inline while it is the thread with the smallest virtual
+// time and yielding to the driver otherwise. Local work (Nops, Work)
+// never yields: it advances the thread's clock at once and is booked
+// when the thread's turn comes, so a closure's Go code may run ahead
+// of the service order (see Machine.Spawn for what that permits).
+// Given one seed, a run is fully deterministic.
 //
 // The model implements the mechanisms the paper identifies as the
 // sources of barrier cost on real ARM silicon:
@@ -192,6 +195,15 @@ func (m *Machine) SetInitial(addr, v uint64) {
 // All Spawn calls must happen before Run. The closure starts when the
 // thread is primed (by Settle or Run) and runs as a coroutine of the
 // goroutine that drives the machine.
+//
+// A closure's own Go code does not run at a fixed point of the
+// simulated service order: after local work (Nops, Work) it runs on
+// before that work is served (see sched.go). Closures of one machine
+// may therefore share only Go state that they write and never read
+// (a validity flag, a node count, a per-thread slot), or that is read
+// after Run returns. Anything one closure reads while another may
+// write it goes through simulated memory, or asks the machine:
+// Thread.AllFinished reports peers' completion in service order.
 func (m *Machine) Spawn(core topo.CoreID, fn func(*Thread)) *Thread {
 	t := m.spawn(core)
 	t.fn = fn

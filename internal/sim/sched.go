@@ -9,19 +9,29 @@ import "errors"
 //
 //   - A compiled thread (SpawnProgram) is stepped by the driver itself,
 //     from the execEnv kept on its Thread (see stepProgram).
-//   - A closure thread (Spawn) runs as a coroutine (coro.go). Each op
-//     it issues enters dispatch, which executes the op inline as a
-//     plain function call while the thread is the run queue's minimum
-//     — on a one-thread machine that is every op — and otherwise
-//     yields to the driver, which resumes whichever thread is the new
-//     minimum.
+//   - A closure thread (Spawn) runs as a coroutine (coro.go). Each
+//     memory access or barrier it issues enters dispatch, which
+//     executes the op inline as a plain function call while the thread
+//     is the run queue's minimum — on a one-thread machine that is
+//     every op — and otherwise yields to the driver, which resumes
+//     whichever thread is the new minimum.
+//   - Local work (Thread.Nops/Work) does not yield. It touches only the
+//     thread's own clock, so the clock advances at once and the
+//     closure runs on to its next op, while the work stays pending at
+//     the thread's old run-queue key. When that key is the minimum,
+//     the work is served there — by the driver (serveDeferred), or
+//     inline by the thread itself if it is already the minimum — with
+//     exactly the bookkeeping it would have had as an ordinary op.
 //
 // Whenever the driver picks, every live thread sits in the run queue
-// keyed on its clock: a thread's own Go code between ops runs while
-// each peer waits at its next op. An op therefore runs only once every
-// live thread has one pending and it belongs to the minimum thread, so
-// the service order — and with it the rng draw sequence and every
-// simulated number — depends only on the seed, never on the host.
+// keyed on the time of its next unserved op: each peer waits at that
+// op, or — after local work — has run ahead to the op behind it. Every
+// op therefore runs only once every live thread has one pending and it
+// belongs to the minimum thread, so the service order — and with it
+// the rng draw sequence and every simulated number — depends only on
+// the seed, never on the host. A closure's own Go code runs at its
+// service point, except after local work, where it runs before that
+// work is served; Machine.Spawn states what closures may share.
 //
 // A panic inside an op or in a closure's own Go code (the MaxTime
 // watchdog, a bad barrier value, a workload bug) unwinds out of Run on
@@ -35,6 +45,11 @@ var errStopped = errors.New("sim: machine stopped")
 // drive serves threads until every one has finished. A closure thread
 // finishes wherever its closure returns, which need not be at the
 // head of the queue, so it is popped once it surfaces as the minimum.
+// A closure thread that surfaces with a local op pending has its op
+// served here, with no switch into its coroutine: the closure already
+// ran past it and waits at its next op (resumed once the thread is the
+// minimum at its new clock), in AllFinished (resumed right away), or
+// has returned (finished now).
 func (m *Machine) drive() {
 	for m.runq.len() > 0 {
 		t := m.runq.min()
@@ -43,36 +58,55 @@ func (m *Machine) drive() {
 			m.runq.popMin()
 		case t.compiled:
 			m.stepProgram(t)
-		default:
-			if _, ok := t.next(); !ok {
+		case t.workPending:
+			m.serveDeferred(t)
+			if t.returned {
 				m.finishThread(t)
+			} else if t.wakeOnServe {
+				m.resume(t)
 			}
+		default:
+			m.resume(t)
 		}
 	}
 }
 
-// prime readies a spawned thread for the driver without running any
-// op: a closure thread's coroutine starts and runs up to its first op,
-// a program folds its leading control codes. A thread with an op
-// pending joins the run queue; one with none finishes at once.
+// resume switches into a closure thread until it suspends again. A
+// closure that returns finishes at once, or — with a local op still
+// pending — once the driver has served that op.
+func (m *Machine) resume(t *Thread) {
+	if _, ok := t.next(); !ok {
+		t.returned = true
+		if !t.workPending {
+			m.finishThread(t)
+		}
+	}
+}
+
+// prime readies a spawned thread for the driver: a closure thread's
+// coroutine starts and runs up to its first op that needs the thread's
+// turn (past any leading local work, which stays pending at the
+// thread's start time), a program folds its leading control codes. A
+// thread with an op pending joins the run queue; one with none
+// finishes at once.
 func (m *Machine) prime(t *Thread) {
 	if t.primed {
 		return
 	}
 	t.primed = true
-	pending := false
 	if t.compiled {
 		t.env.stepControl()
-		pending = !t.env.done()
+		if t.env.done() {
+			m.finishThread(t)
+			return
+		}
 	} else {
 		t.start()
-		_, pending = t.next()
+		if m.resume(t); t.finished {
+			return
+		}
 	}
-	if pending {
-		m.runq.push(t)
-	} else {
-		m.finishThread(t)
-	}
+	m.runq.push(t)
 }
 
 // dispatch runs the op staged in t.req on the calling coroutine once
@@ -81,10 +115,7 @@ func (m *Machine) prime(t *Thread) {
 func (t *Thread) dispatch() uint64 {
 	m := t.m
 	for {
-		if !m.runq.isMin(t) {
-			t.suspend()
-			continue
-		}
+		t.await()
 		if t.now > m.cfg.MaxTime {
 			m.fatalStuck(t)
 		}
@@ -97,6 +128,40 @@ func (t *Thread) dispatch() uint64 {
 		// own store buffer); retry once it is the minimum again, so
 		// commits apply in global time order.
 	}
+}
+
+// await returns once t has no local op pending and is the run queue's
+// minimum. A pending op is served inline if t is the minimum at its
+// key, and by the driver otherwise.
+func (t *Thread) await() {
+	m := t.m
+	for {
+		if !m.runq.isMin(t) {
+			t.suspend()
+			continue
+		}
+		if !t.workPending {
+			return
+		}
+		m.serveDeferred(t)
+	}
+}
+
+// serveDeferred serves t's pending local op at its key, with t the run
+// queue's minimum: the bookkeeping process performs for any op, with
+// the clock advance already done by Thread.work. It then re-keys t on
+// its advanced clock.
+func (m *Machine) serveDeferred(t *Thread) {
+	start := t.workStart
+	if start > m.cfg.MaxTime {
+		m.fatalStuck(t)
+	}
+	t.workPending = false
+	m.retireStores(start)
+	m.now = start
+	m.emit(t, TraceWork, 0, start, t.now, "")
+	m.noteServed(t)
+	m.runq.fixMin()
 }
 
 // suspend yields to the driver, which resumes the thread once it is
@@ -207,8 +272,14 @@ func runLess(a, b *runEntry) bool {
 	return a.id < b.id
 }
 
+// push queues t keyed on its clock, or on the start of its pending
+// local op.
 func (h *runHeap) push(t *Thread) {
-	h.s = append(h.s, runEntry{now: t.now, id: t.id, t: t})
+	now := t.now
+	if t.workPending {
+		now = t.workStart
+	}
+	h.s = append(h.s, runEntry{now: now, id: t.id, t: t})
 	s := h.s
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2

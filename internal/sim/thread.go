@@ -19,7 +19,6 @@ const (
 	opStore
 	opStoreRelease
 	opBarrier
-	opWork
 	opFetchAdd
 	opSwap
 	opCAS
@@ -35,7 +34,6 @@ type request struct {
 	value  uint64
 	value2 uint64
 	bar    isa.Barrier
-	cycles float64
 	result uint64
 }
 
@@ -77,6 +75,19 @@ type Thread struct {
 	req    request
 	primed bool
 
+	// A closure thread's local work (Nops/Work) advances its clock at
+	// once and is served later (see Thread.work): while workPending,
+	// the clock already reads the op's end, but the thread's run-queue
+	// key is still workStart, where the driver books the op. Nothing
+	// else moves the clock until then. returned marks a closure that
+	// came back with such an op still pending; wakeOnServe a closure
+	// suspended until that op is served (AllFinished) rather than
+	// until it is the minimum.
+	workPending bool
+	returned    bool
+	wakeOnServe bool
+	workStart   float64
+
 	// A closure thread (Spawn) runs fn as a coroutine (coro.go): next
 	// switches into it, yield back to the driver, stop ends it early.
 	fn    func(*Thread)
@@ -107,8 +118,8 @@ func newThread(m *Machine, id int, core topo.CoreID) *Thread {
 // op stages one operation and dispatches it; the thread executes the
 // semantics itself when eligible (no switch while this thread holds
 // the minimum time).
-func (t *Thread) op(kind opKind, addr, value uint64, bar isa.Barrier, cycles float64) uint64 {
-	t.req = request{t: t, kind: kind, addr: addr, value: value, bar: bar, cycles: cycles}
+func (t *Thread) op(kind opKind, addr, value uint64, bar isa.Barrier) uint64 {
+	t.req = request{t: t, kind: kind, addr: addr, value: value, bar: bar}
 	return t.dispatch()
 }
 
@@ -127,13 +138,13 @@ func (t *Thread) Stats() ThreadStats { return t.stats }
 
 // Load performs a relaxed 64-bit load.
 func (t *Thread) Load(addr uint64) uint64 {
-	return t.op(opLoad, addr, 0, isa.None, 0)
+	return t.op(opLoad, addr, 0, isa.None)
 }
 
 // LoadAcquire performs an LDAR: a load after which no later access may
 // be satisfied before it, acting as an invalidation-processing point.
 func (t *Thread) LoadAcquire(addr uint64) uint64 {
-	return t.op(opLoadAcquire, addr, 0, isa.None, 0)
+	return t.op(opLoadAcquire, addr, 0, isa.None)
 }
 
 // LoadAcquirePC performs an ARMv8.3 LDAPR (RCpc acquire, the paper's
@@ -141,18 +152,18 @@ func (t *Thread) LoadAcquire(addr uint64) uint64 {
 // LDAR the in-flight window is not reset, so independent misses keep
 // overlapping across it.
 func (t *Thread) LoadAcquirePC(addr uint64) uint64 {
-	return t.op(opLoadAcquirePC, addr, 0, isa.None, 0)
+	return t.op(opLoadAcquirePC, addr, 0, isa.None)
 }
 
 // Store performs a relaxed 64-bit store (retires into the store buffer).
 func (t *Thread) Store(addr, v uint64) {
-	t.op(opStore, addr, v, isa.None, 0)
+	t.op(opStore, addr, v, isa.None)
 }
 
 // StoreRelease performs an STLR: every earlier access is observable
 // before the released value is.
 func (t *Thread) StoreRelease(addr, v uint64) {
-	t.op(opStoreRelease, addr, v, isa.None, 0)
+	t.op(opStoreRelease, addr, v, isa.None)
 }
 
 // Barrier executes a standalone order-preserving instruction or
@@ -165,7 +176,7 @@ func (t *Thread) Barrier(b isa.Barrier) {
 	if b == isa.LDAR || b == isa.STLR || b == isa.LDAPR {
 		panic("sim: LDAR/LDAPR/STLR are operand barriers; use LoadAcquire/LoadAcquirePC/StoreRelease")
 	}
-	t.op(opBarrier, 0, 0, b, 0)
+	t.op(opBarrier, 0, 0, b)
 }
 
 // Nops executes n trivial ALU instructions (the paper's nop padding).
@@ -173,7 +184,7 @@ func (t *Thread) Nops(n int) {
 	if n <= 0 {
 		return
 	}
-	t.op(opWork, 0, 0, isa.None, float64(n)/t.m.cost.IssueWidth)
+	t.work(float64(n) / t.m.cost.IssueWidth)
 }
 
 // Work advances the thread by the given number of cycles of purely
@@ -182,19 +193,61 @@ func (t *Thread) Work(cycles float64) {
 	if cycles <= 0 {
 		return
 	}
-	t.op(opWork, 0, 0, isa.None, cycles)
+	t.work(cycles)
+}
+
+// work runs local computation without waiting for the thread's turn:
+// it touches nothing but the thread's own clock, so the clock advances
+// at once and the closure runs on to its next op. The op itself — its
+// commit retirement, trace event and dispatch count — stays pending at
+// the thread's old run-queue key, the point where it would have been
+// served, and is booked there (serveDeferred). A second local op first
+// waits until the pending one is served and the thread is the minimum.
+func (t *Thread) work(cycles float64) {
+	if t.workPending {
+		t.await()
+	}
+	t.workPending, t.workStart = true, t.now
+	t.advBy(CauseWork, cycles)
+}
+
+// AllFinished reports whether every peer thread has finished, as seen
+// right after the caller's own latest op is served: a pending local op
+// of the caller is served first (the caller is resumed immediately
+// after it), so the answer reflects the same point in the simulated
+// service order as a check placed after that op would have without
+// deferral. A thread finishes when its last op is served and its
+// closure has returned. Closures use it to stop on their peers'
+// progress instead of sharing a Go counter, which would be read and
+// written at host-dependent points of the service order.
+func (t *Thread) AllFinished(peers []*Thread) bool {
+	if t.workPending {
+		if t.m.runq.isMin(t) {
+			t.m.serveDeferred(t)
+		} else {
+			t.wakeOnServe = true
+			t.suspend()
+			t.wakeOnServe = false
+		}
+	}
+	for _, p := range peers {
+		if !p.finished {
+			return false
+		}
+	}
+	return true
 }
 
 // FetchAdd atomically adds delta to *addr and returns the old value.
 // Like ARM LSE atomics it acts directly on the coherent copy (no store
 // buffering) and is relaxed: it implies no ordering of other accesses.
 func (t *Thread) FetchAdd(addr, delta uint64) uint64 {
-	return t.op(opFetchAdd, addr, delta, isa.None, 0)
+	return t.op(opFetchAdd, addr, delta, isa.None)
 }
 
 // Swap atomically stores v and returns the old value (relaxed).
 func (t *Thread) Swap(addr, v uint64) uint64 {
-	return t.op(opSwap, addr, v, isa.None, 0)
+	return t.op(opSwap, addr, v, isa.None)
 }
 
 // CompareAndSwap atomically replaces old with new; it reports whether
@@ -249,9 +302,6 @@ func (m *Machine) process(r *request) bool {
 	case opBarrier:
 		m.doBarrier(t, r.bar)
 		m.emit(t, TraceBarrier, 0, start, t.now, r.bar.String())
-	case opWork:
-		t.advBy(CauseWork, r.cycles)
-		m.emit(t, TraceWork, 0, start, t.now, "")
 	case opFetchAdd, opSwap, opCAS:
 		// Release half: earlier stores must have drained; wait by
 		// retrying rather than reaching into the future.

@@ -5,11 +5,13 @@
 // in-process `armbar perfcheck` regression gate, which reruns them via
 // testing.Benchmark and compares against that snapshot.
 //
-// Each workload body is lowered to a micro-op program and spawned
-// with SpawnProgram, so it runs on the process-wide engine: under the
-// compiled default the snapshot measures the path the figure
-// generators actually take, and `armbar perfcheck` flips the default
-// to walk the same programs and print the engines' ratio.
+// Each simulator workload body except ClosureSpinPause is lowered to
+// a micro-op program and spawned with SpawnProgram, so it runs on the
+// process-wide engine: under the compiled default the snapshot
+// measures the path the figure generators actually take, and `armbar
+// perfcheck` flips the default to walk the same programs and print the
+// engines' ratio. ClosureSpinPause spawns closure threads, the path
+// the lock and data-structure workloads take on either engine.
 package simbench
 
 import (
@@ -40,6 +42,7 @@ var Benches = []Bench{
 	{"BenchmarkStoreCommit", StoreCommit},
 	{"BenchmarkStoreDMBFull", StoreDMBFull},
 	{"BenchmarkCompiledDispatch", CompiledDispatch},
+	{"BenchmarkClosureSpinPause", ClosureSpinPause},
 	{"BenchmarkCellCacheHit", CellCacheHit},
 	{"BenchmarkDirectoryRank1024", DirectoryRank1024},
 	{"BenchmarkDirectorySharerChurn1024", DirectorySharerChurn1024},
@@ -141,6 +144,33 @@ func CompiledDispatch(b *testing.B) {
 	pb.Load(prog.Abs(addr))
 	pb.EndLoop()
 	m.SpawnProgram(0, pb.MustBuild())
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run()
+}
+
+// ClosureSpinPause measures the closure-thread path: two closure
+// threads (Spawn, not SpawnProgram) poll one shared line with
+// LoadAcquire and pause with Nops after every poll — the
+// `LoadAcquire; Nops(pause)` spin of the lock and data-structure
+// figures. Both threads take equal steps, so service alternates
+// between them and every op pays a coroutine switch through the
+// driver; the pause itself is served without one. One op is one poll
+// plus its pause. Coroutine creation happens in Settle, before the
+// timer, so steady state allocates nothing.
+func ClosureSpinPause(b *testing.B) {
+	m := newBenchMachine()
+	line := m.Alloc(1)
+	n := (b.N + 1) / 2
+	for k := 0; k < 2; k++ {
+		m.Spawn(topo.CoreID(4*k), func(t *sim.Thread) {
+			for i := 0; i < n; i++ {
+				t.LoadAcquire(line)
+				t.Nops(8)
+			}
+		})
+	}
+	m.Settle()
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run()

@@ -11,7 +11,7 @@ set -eu
 cd "$(dirname "$0")/.."
 out=BENCH_sim.json
 
-raw=$(go test -run '^$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates' -benchmem \
+raw=$(go test -run '^$' -bench 'Rendezvous|StoreCommit|StoreDMB|CompiledDispatch|ClosureSpinPause|CellCacheHit|DirectoryRank|DirectorySharerChurn|BarrierScale|ExploreStates' -benchmem \
 	./internal/sim ./internal/cellcache ./internal/mesi ./internal/barrier ./internal/explore)
 
 # Result-cache context: time `-quick all` cold (fresh cache dir) and

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Static-analysis gate: run the armvet pass suite (determvet, lockvet,
-# atomicvet, allocvet, metricvet) over the whole module and fail on any finding.
+# Static-analysis gate: every Go file must be gofmt-clean, and the
+# armvet pass suite (determvet, lockvet, atomicvet, allocvet,
+# metricvet, progvet) must run clean over the whole module.
 # armvet typechecks the repo from source with the pure-Go toolchain
 # (no cgo, no network), so the only requirement is a Go toolchain new
 # enough for the go.mod language version. Degrade loudly, not
@@ -29,6 +30,14 @@ go1 | go1.[0-9] | go1.[0-9].* | go1.1[0-9] | go1.1[0-9].* | go1.2[01] | go1.2[01
 	exit 2
 	;;
 esac
+
+# Formatting: gofmt -l names every file whose formatting differs.
+unformatted=$(gofmt -l cmd examples internal perfbench ./*.go)
+if [ -n "$unformatted" ]; then
+	echo "lint: not gofmt-clean (fix with gofmt -w):" >&2
+	printf '%s\n' "$unformatted" >&2
+	exit 1
+fi
 
 if [ "$#" -eq 0 ]; then
 	set -- ./...
