@@ -78,7 +78,8 @@ profilecheck:
 .PHONY: fencecheck
 fencecheck:
 	$(GO) run ./cmd/armvet fencevet -fuzz 220 -fuzzseed 42
-	$(GO) test -run 'TestFormulaAgreement|TestSimAgreement|TestPinnedAnomalies|TestCompiledParityShapes|TestSeedIndependentVerdicts|TestFuzzThreeOracles|TestExploreParMatchesSequential' ./internal/explore
+	$(GO) test -run 'TestFormulaAgreement|TestSimAgreement|TestPinnedAnomalies|TestSampleEngineParity|TestSeedIndependentVerdicts|TestFuzzThreeOracles|TestExploreParMatchesSequential' ./internal/explore
+	$(GO) test ./internal/litmus
 
 # Live-observability smoke: run `-quick` with -serve against a cold
 # cache and curl /healthz, /metrics and /progress while it runs.

@@ -1,7 +1,10 @@
-// Command litmus runs the memory-model litmus tests on the simulated
-// platforms and prints outcome histograms under both the weakly-ordered
-// model and TSO, reproducing the paper's Table 1 and validating the
-// barrier pairs that forbid the message-passing anomaly.
+// Command litmus samples every litmus shape on a simulated platform
+// and prints outcome histograms under both the weakly-ordered model
+// and TSO, once with no barriers and once with every barrier slot
+// filled. MP with no barriers is the paper's Table 1: the anomaly
+// (flag set, local != 23) is allowed under WMM and forbidden under
+// TSO; the filled placements show the barriers that forbid each
+// shape's anomaly.
 //
 // Usage:
 //
@@ -13,8 +16,7 @@ import (
 	"fmt"
 	"os"
 
-	"armbar/internal/isa"
-	"armbar/internal/litmus"
+	"armbar/internal/explore"
 	"armbar/internal/platform"
 	"armbar/internal/sim"
 )
@@ -31,20 +33,20 @@ func main() {
 		os.Exit(2)
 	}
 
-	tests := []*litmus.Test{
-		litmus.MessagePassing(isa.None, isa.None),
-		litmus.MessagePassing(isa.DMBSt, isa.DMBLd),
-		litmus.MessagePassing(isa.DMBSt, isa.AddrDep),
-		litmus.MessagePassing(isa.DMBFull, isa.DMBFull),
-		litmus.MPWithAcquireRelease(),
-		litmus.StoreBuffering(isa.None),
-		litmus.StoreBuffering(isa.DSBFull),
-		litmus.CoWW(),
-	}
-	for _, test := range tests {
-		for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
-			res := litmus.Run(p, mode, test, *runs, *seed)
-			fmt.Println(res.String())
+	for _, s := range explore.All() {
+		pls := []explore.Placement{0}
+		if n := explore.Naive(s); n != 0 {
+			pls = append(pls, n)
+		}
+		for _, pl := range pls {
+			for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
+				res, err := explore.Sample(p, s, pl, mode, *runs, *seed)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "litmus: %v\n", err)
+					os.Exit(1)
+				}
+				fmt.Println(res.String())
+			}
 		}
 	}
 }

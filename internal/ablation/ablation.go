@@ -9,8 +9,8 @@ import (
 	"fmt"
 
 	"armbar/internal/absmodel"
+	"armbar/internal/explore"
 	"armbar/internal/isa"
-	"armbar/internal/litmus"
 	"armbar/internal/pc"
 	"armbar/internal/platform"
 	"armbar/internal/report"
@@ -49,8 +49,7 @@ func AnomalyVsJitter(o Options) *report.Table {
 	for _, j := range []float64{0, 10, 25, 50, 100, 200} {
 		p := platform.Kunpeng916()
 		p.Cost.DrainJitter = j
-		res := litmus.Run(p, sim.WMM, litmus.MessagePassing(isa.None, isa.None), runs, o.seed())
-		bad := res.Count["local=0"]
+		bad := mpAnomalies(p, runs, o.seed())
 		t.Row(j, bad, float64(bad)/float64(runs))
 	}
 	t.Note = "non-FIFO drain is the dominant WMM mechanism here: with zero jitter the two equal-cost stores commit in issue order and the anomaly disappears"
@@ -65,11 +64,20 @@ func AnomalyVsInvalidationDelay(o Options) *report.Table {
 	for _, d := range []float64{0, 10, 20, 40, 80, 160} {
 		p := platform.Kunpeng916()
 		p.Cost.InvalidationDelay = d
-		res := litmus.Run(p, sim.WMM, litmus.MessagePassing(isa.None, isa.None), runs, o.seed())
-		bad := res.Count["local=0"]
+		bad := mpAnomalies(p, runs, o.seed())
 		t.Row(d, bad, float64(bad)/float64(runs))
 	}
 	return t
+}
+
+// mpAnomalies samples unfenced message passing under WMM and counts
+// the runs that saw the flag set but stale data.
+func mpAnomalies(p *platform.Platform, runs int, seed int64) int {
+	res, err := explore.Sample(p, explore.MP(), 0, sim.WMM, runs, seed)
+	if err != nil {
+		panic(fmt.Sprintf("ablation: %v", err))
+	}
+	return res.Count["flag=1 local=0"]
 }
 
 // TippingVsMissLatency sweeps the cross-node miss latency and reports

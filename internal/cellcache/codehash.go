@@ -22,9 +22,9 @@ import (
 // can never decode old records into wrong values.
 var simPackages = []string{
 	"a64", "ablation", "absmodel", "ace", "barrier", "cellcache", "core",
-	"dedup", "ds", "explore", "figures", "floorplan", "isa", "litmus",
-	"locks", "mesi", "metrics", "pc", "platform", "prog", "report",
-	"runner", "sb", "scenario", "sim", "topo",
+	"dedup", "ds", "explore", "figures", "floorplan", "isa", "locks",
+	"mesi", "metrics", "pc", "platform", "prog", "report", "runner", "sb",
+	"scenario", "sim", "topo",
 }
 
 var (

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"reflect"
 	"testing"
 
 	"armbar/internal/absmodel"
@@ -81,7 +82,10 @@ func TestPinnedAnomalies(t *testing.T) {
 			t.Errorf("%s%s: expected unsafe under WMM", c.shape.Name, c.pl.Describe(c.shape))
 			continue
 		}
-		res := Sample(p, c.shape, c.pl, sim.WMM, 400, 42)
+		res, err := Sample(p, c.shape, c.pl, sim.WMM, 400, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
 		seen := false
 		for _, f := range r.Forbidden {
 			if res.Count[f] > 0 {
@@ -96,18 +100,32 @@ func TestPinnedAnomalies(t *testing.T) {
 	}
 }
 
-// TestCompiledParityShapes runs every shape at its naive placement
-// under both engines and requires identical final memory and
-// operation counts seed by seed.
-func TestCompiledParityShapes(t *testing.T) {
+// TestSampleEngineParity runs every shape at its empty and naive
+// placements under both engines: the interpreted walk and the compiled
+// executor must give identical histograms, so the two agree seed by
+// seed on the observed registers and final memory of every run.
+func TestSampleEngineParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sampling gate skipped in -short")
 	}
+	defer sim.SetDefaultEngine(sim.EngineDefault)
 	p := platform.Kunpeng916()
 	for _, mode := range []sim.Mode{sim.WMM, sim.TSO} {
 		for _, s := range All() {
-			if err := CompiledParity(p, s, Naive(s), mode, 50, 42); err != nil {
-				t.Error(err)
+			for _, pl := range []Placement{0, Naive(s)} {
+				var got [2]*Histogram
+				for i, e := range []sim.Engine{sim.EngineInterp, sim.EngineCompiled} {
+					sim.SetDefaultEngine(e)
+					h, err := Sample(p, s, pl, mode, 50, 42)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got[i] = h
+				}
+				if !reflect.DeepEqual(got[0].Count, got[1].Count) {
+					t.Errorf("%s%s under %v: interp %v, compiled %v",
+						s.Name, pl.Describe(s), mode, got[0].Count, got[1].Count)
+				}
 			}
 		}
 	}

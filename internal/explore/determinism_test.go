@@ -31,18 +31,23 @@ func TestSampleReproducible(t *testing.T) {
 	}
 	p := platform.Kunpeng916()
 	for _, s := range []*Shape{MP(), Chan()} {
-		a := Sample(p, s, 0, sim.WMM, 100, 42)
-		b := Sample(p, s, 0, sim.WMM, 100, 42)
+		a, err := Sample(p, s, 0, sim.WMM, 100, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Sample(p, s, 0, sim.WMM, 100, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(a.Count, b.Count) {
 			t.Errorf("%s: histogram not reproducible at seed 42: %v vs %v", s.Name, a.Count, b.Count)
 		}
 	}
 }
 
-// TestSeedIndependentVerdicts runs the full differential gate at two
-// unrelated seeds under both engines: whatever the seed, sampling must
-// stay inside the explorer's reachable sets and the engines must stay
-// in lockstep.
+// TestSeedIndependentVerdicts runs the differential gate at two
+// unrelated seeds: whatever the seed, sampling must stay inside the
+// explorer's reachable sets.
 func TestSeedIndependentVerdicts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sampling skipped in -short")
@@ -55,9 +60,6 @@ func TestSeedIndependentVerdicts(t *testing.T) {
 					if err := Agreement(p, s, pl, mode, 100, seed); err != nil {
 						t.Errorf("seed %d: %v", seed, err)
 					}
-				}
-				if err := CompiledParity(p, s, Naive(s), mode, 25, seed); err != nil {
-					t.Errorf("seed %d: %v", seed, err)
 				}
 			}
 		}

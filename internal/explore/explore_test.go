@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"armbar/internal/litmus"
 	"armbar/internal/runner"
 	"armbar/internal/sim"
 )
@@ -165,7 +164,7 @@ func TestWitnessIffUnsafe(t *testing.T) {
 				o, ok := strings.CutPrefix(last, "outcome ")
 				found := false
 				for _, f := range r.Forbidden {
-					found = found || f == litmus.Outcome(o)
+					found = found || f == Outcome(o)
 				}
 				if !ok || !found {
 					t.Errorf("%s%s %v: last witness line %q names no outcome in %v",

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"armbar/internal/isa"
-	"armbar/internal/litmus"
 	"armbar/internal/metrics"
 )
 
@@ -58,16 +57,16 @@ type fastExplorer struct {
 	rawMem  []uint64
 
 	sigs         map[uint64]struct{} // terminal signatures already rendered
-	outcomes     map[litmus.Outcome]bool
-	forbidden    map[litmus.Outcome]bool
+	outcomes     map[Outcome]bool
+	forbidden    map[Outcome]bool
 	sawForbidden bool
 
 	// Witness recording (record.go); rec is nil when recording is off.
-	rec   []wrec         // per visited state, in insertion order
-	ids   []int32        // state id of each frame on the stack
-	curID int32          // state id of the frame being expanded
-	hitID int32          // first forbidden terminal's state id
-	hit   litmus.Outcome // and its outcome
+	rec   []wrec  // per visited state, in insertion order
+	ids   []int32 // state id of each frame on the stack
+	curID int32   // state id of the frame being expanded
+	hitID int32   // first forbidden terminal's state id
+	hit   Outcome // and its outcome
 }
 
 // newFastExplorer builds an engine for one placed program. A non-nil
@@ -81,8 +80,8 @@ func newFastExplorer(s *Shape, pl Placement, tso bool, bound int, re *fastExplor
 	if x == nil {
 		x = &fastExplorer{
 			sigs:      make(map[uint64]struct{}),
-			outcomes:  make(map[litmus.Outcome]bool),
-			forbidden: make(map[litmus.Outcome]bool),
+			outcomes:  make(map[Outcome]bool),
+			forbidden: make(map[Outcome]bool),
 		}
 	} else {
 		clear(x.sigs)

@@ -3,8 +3,8 @@ package explore
 import (
 	"fmt"
 	"sort"
+	"strings"
 
-	"armbar/internal/litmus"
 	"armbar/internal/platform"
 	"armbar/internal/prog"
 	"armbar/internal/sim"
@@ -18,30 +18,63 @@ import (
 // exactly that subset relation, plus that safe placements never
 // sample a forbidden outcome.
 
+// Histogram counts the outcomes of seeded sample runs.
+type Histogram struct {
+	Test  string
+	Mode  sim.Mode
+	Runs  int
+	Count map[Outcome]int
+}
+
+// String renders the histogram sorted by outcome.
+func (h *Histogram) String() string {
+	keys := make([]string, 0, len(h.Count))
+	for k := range h.Count {
+		keys = append(keys, string(k))
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s under %v (%d runs):\n", h.Test, h.Mode, h.Runs)
+	for _, k := range keys {
+		fmt.Fprintf(&b, "  %-24s %6d\n", k, h.Count[Outcome(k)])
+	}
+	return b.String()
+}
+
 // Sample runs the shape under the placement `runs` times with seeds
-// baseSeed..baseSeed+runs-1 and returns the outcome histogram. Ops
-// marked Spin wait for their signal value the way the litmus tests
-// do; every other op maps 1:1 onto a Thread operation.
-func Sample(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs int, baseSeed int64) *litmus.Result {
-	res := &litmus.Result{
+// baseSeed..baseSeed+runs-1 and returns the outcome histogram. Each
+// thread runs its Compile lowering through Machine.SpawnProgram, and
+// observed values come back through the thread's registers.
+func Sample(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs int, baseSeed int64) (*Histogram, error) {
+	res := &Histogram{
 		Test:  fmt.Sprintf("%s%s", s.Name, pl.Describe(s)),
 		Mode:  mode,
 		Runs:  runs,
-		Count: make(map[litmus.Outcome]int),
+		Count: make(map[Outcome]int),
 	}
-	ops := s.program(pl)
+	regs := make([]uint64, len(s.Regs))
+	threads := make([]*sim.Thread, len(s.Cores))
 	for r := 0; r < runs; r++ {
 		m := sim.New(sim.Config{Plat: p, Mode: mode, Seed: baseSeed + int64(r)})
 		addr := allocLines(m, s)
-		regs := make([]uint64, len(s.Regs))
 		for i, core := range s.Cores {
-			i := i
-			m.Spawn(core, func(t *sim.Thread) { runOps(t, ops[i], addr, regs) })
+			pr, err := Compile(s, pl, i, p.Cost.IssueWidth, addr)
+			if err != nil {
+				return nil, err
+			}
+			threads[i] = m.SpawnProgram(core, pr)
 		}
 		m.Run()
+		for i, ops := range s.Threads {
+			for _, op := range ops {
+				if op.Obs >= 0 {
+					regs[op.Obs] = threads[i].Reg(op.Obs + 1)
+				}
+			}
+		}
 		res.Count[s.Outcome(regs, finalLines(m, addr))]++
 	}
-	return res
+	return res, nil
 }
 
 // Agreement checks one placement differentially: every sampled
@@ -50,9 +83,12 @@ func Sample(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs in
 // single subset check also proves sampling never observed a forbidden
 // outcome wherever the explorer claims safety.
 func Agreement(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs int, baseSeed int64) error {
+	res, err := Sample(p, s, pl, mode, runs, baseSeed)
+	if err != nil {
+		return err
+	}
 	r := exploreRun(s, pl, mode, DefaultBound, nil, false)
-	res := Sample(p, s, pl, mode, runs, baseSeed)
-	sampled := make([]litmus.Outcome, 0, len(res.Count))
+	sampled := make([]Outcome, 0, len(res.Count))
 	for o := range res.Count {
 		sampled = append(sampled, o)
 	}
@@ -85,50 +121,19 @@ func finalLines(m *sim.Machine, addr []uint64) []uint64 {
 	return final
 }
 
-func runOps(t *sim.Thread, ops []SOp, addr []uint64, regs []uint64) {
-	for _, op := range ops {
-		switch op.Code {
-		case SLoad:
-			v := t.Load(addr[op.Addr])
-			if op.Spin {
-				for v != op.Val {
-					v = t.Load(addr[op.Addr])
-				}
-			}
-			if op.Obs >= 0 {
-				regs[op.Obs] = v
-			}
-		case SLoadAcq:
-			v := t.LoadAcquire(addr[op.Addr])
-			if op.Spin {
-				for v != op.Val {
-					v = t.LoadAcquire(addr[op.Addr])
-				}
-			}
-			if op.Obs >= 0 {
-				regs[op.Obs] = v
-			}
-		case SStore:
-			t.Store(addr[op.Addr], op.Val)
-		case SBarrier:
-			t.Barrier(op.Bar)
-		case SSwap:
-			v := t.Swap(addr[op.Addr], op.Val)
-			if op.Obs >= 0 {
-				regs[op.Obs] = v
-			}
-		}
-	}
-}
-
-// Compile lowers one thread of the placed shape to a compiled-engine
-// program against pre-resolved line addresses. Spin loads lower to
-// SpinEQ; observed values are lost (the compiled engine has no
-// register file), so compiled runs compare on final memory and
-// machine stats.
+// Compile lowers one thread of the placed shape to a program against
+// pre-resolved line addresses. A load or swap observed into register
+// Obs writes program register Obs+1 (register 0 discards); Obs on a
+// store or barrier is a build error. A Spin load lowers to SpinEQ;
+// Spin on any other code is an error, because prog has no acquire or
+// atomic spin.
 func Compile(s *Shape, pl Placement, thread int, issueWidth float64, addr []uint64) (*prog.Program, error) {
 	b := prog.NewBuilder(issueWidth)
 	for _, op := range s.thread(thread, pl) {
+		if op.Spin && op.Code != SLoad {
+			return nil, fmt.Errorf("explore: %s thread %d: Spin on op code %d: only a plain load can spin",
+				s.Name, thread, op.Code)
+		}
 		switch op.Code {
 		case SLoad:
 			if op.Spin {
@@ -145,52 +150,13 @@ func Compile(s *Shape, pl Placement, thread int, issueWidth float64, addr []uint
 		case SSwap:
 			b.Swap(prog.Abs(addr[op.Addr]), prog.Imm(op.Val))
 		}
-	}
-	return b.Build()
-}
-
-// CompiledParity runs every seed's machine twice — interpreted thread
-// closures versus SpawnProgram of the identical lowering — and
-// returns an error on the first run whose final committed memory or
-// operation counts diverge. It is the explorer suite's engine
-// cross-check: shapes must behave identically under both engines.
-func CompiledParity(p *platform.Platform, s *Shape, pl Placement, mode sim.Mode, runs int, baseSeed int64) error {
-	ops := s.program(pl)
-	for r := 0; r < runs; r++ {
-		seed := baseSeed + int64(r)
-
-		mi := sim.New(sim.Config{Plat: p, Mode: mode, Seed: seed})
-		ai := allocLines(mi, s)
-		regs := make([]uint64, len(s.Regs))
-		for i, core := range s.Cores {
-			i := i
-			mi.Spawn(core, func(t *sim.Thread) { runOps(t, ops[i], ai, regs) })
-		}
-		mi.Run()
-
-		mc := sim.New(sim.Config{Plat: p, Mode: mode, Seed: seed})
-		ac := allocLines(mc, s)
-		for i, core := range s.Cores {
-			pr, err := Compile(s, pl, i, p.Cost.IssueWidth, ac)
-			if err != nil {
-				return fmt.Errorf("%s: compile thread %d: %w", s.Name, i, err)
-			}
-			mc.SpawnProgram(core, pr)
-		}
-		mc.Run()
-
-		fi, fc := finalLines(mi, ai), finalLines(mc, ac)
-		for l := range fi {
-			if fi[l] != fc[l] {
-				return fmt.Errorf("%s seed %d: line %s final %d (interp) vs %d (compiled)",
-					s.Name, seed, s.LineNames[l], fi[l], fc[l])
-			}
-		}
-		si, sc := mi.Stats(), mc.Stats()
-		if si.Loads != sc.Loads || si.Stores != sc.Stores || si.StaleReads != sc.StaleReads {
-			return fmt.Errorf("%s seed %d: stats diverge: loads %d/%d stores %d/%d stale %d/%d",
-				s.Name, seed, si.Loads, sc.Loads, si.Stores, sc.Stores, si.StaleReads, sc.StaleReads)
+		if op.Obs >= 0 {
+			b.Dest(op.Obs + 1)
 		}
 	}
-	return nil
+	p, err := b.Build()
+	if err != nil {
+		return nil, fmt.Errorf("explore: %s thread %d: %w", s.Name, thread, err)
+	}
+	return p, nil
 }

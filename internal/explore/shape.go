@@ -24,10 +24,10 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"strconv"
 	"strings"
 
 	"armbar/internal/isa"
-	"armbar/internal/litmus"
 	"armbar/internal/topo"
 )
 
@@ -35,8 +35,8 @@ import (
 // exclude control flow: loops and spins make exhaustive exploration
 // unbounded, so signal waits are expressed as plain loads whose
 // forbidden predicate conditions on the observed value (the sampler
-// may re-introduce a spin on ops marked Spin, which only restricts
-// the sampled outcome set).
+// re-introduces a spin on loads marked Spin, which only restricts the
+// sampled outcome set).
 type SCode uint8
 
 const (
@@ -54,7 +54,7 @@ type SOp struct {
 	Val  uint64      // store/swap value; sampler spin-exit value
 	Bar  isa.Barrier // SBarrier only
 	Obs  int         // register receiving a load/swap result; -1 = discarded
-	Spin bool        // sampler retries this load until it reads Val
+	Spin bool        // SLoad only: the sampler retries it until it reads Val
 }
 
 // Slot is an optional barrier position in a shape: placement bit i
@@ -70,7 +70,8 @@ type Slot struct {
 // Shape is a litmus program with optional barrier slots. Regs names
 // the observed registers (indexed by SOp.Obs), Finals names rendered
 // final-memory lines; outcomes render registers first, then finals,
-// through litmus.Fields — the same path the litmus tests use.
+// through Outcome — one path for the explorer's reachable sets and
+// the simulator's sampled histograms, so the two compare directly.
 type Shape struct {
 	Name      string
 	Doc       string
@@ -86,18 +87,29 @@ type Shape struct {
 	Forbidden func(regs []uint64, final []uint64) bool
 }
 
-// Outcome renders one terminal state exactly as the litmus package
-// would.
-func (s *Shape) Outcome(regs, final []uint64) litmus.Outcome {
-	names := make([]string, 0, len(s.Regs)+len(s.Finals))
-	vals := make([]uint64, 0, len(s.Regs)+len(s.Finals))
-	names = append(names, s.Regs...)
-	vals = append(vals, regs...)
-	for i, line := range s.Finals {
-		names = append(names, s.FinalTags[i])
-		vals = append(vals, final[line])
+// Outcome is one terminal state of a shape: space-separated
+// "name=value" fields, registers first, then final lines, e.g.
+// "r0=1 r1=0" or "r=1 x=2".
+type Outcome string
+
+// Outcome renders one terminal state.
+func (s *Shape) Outcome(regs, final []uint64) Outcome {
+	var b strings.Builder
+	field := func(name string, v uint64) {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(name)
+		b.WriteByte('=')
+		b.WriteString(strconv.FormatUint(v, 10))
 	}
-	return litmus.Fields(names, vals...)
+	for i, name := range s.Regs {
+		field(name, regs[i])
+	}
+	for i, line := range s.Finals {
+		field(s.FinalTags[i], final[line])
+	}
+	return Outcome(b.String())
 }
 
 // thread returns thread i's ops with the placed slot barriers
@@ -114,15 +126,6 @@ func (s *Shape) thread(i int, pl Placement) []SOp {
 		if at < len(base) {
 			ops = append(ops, base[at])
 		}
-	}
-	return ops
-}
-
-// program returns every thread lowered under the placement.
-func (s *Shape) program(pl Placement) [][]SOp {
-	ops := make([][]SOp, len(s.Threads))
-	for i := range s.Threads {
-		ops[i] = s.thread(i, pl)
 	}
 	return ops
 }

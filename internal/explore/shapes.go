@@ -5,12 +5,14 @@ import (
 	"armbar/internal/topo"
 )
 
-// The classic litmus suite as straight-line shapes. Signal waits are
-// plain loads whose value joins the outcome, so forbidden predicates
-// condition on the observed value instead of spinning; ops marked Spin
-// let the simulator sampler wait for the signal the way the litmus
-// package's own tests do. Slot kinds mirror the barriers the paper
-// (and internal/litmus) place in each shape.
+// The classic litmus suite as straight-line shapes, the one
+// description the explorer, the closed-form model and the simulator
+// sampler (Table 1, its ablations, cmd/litmus) all run. Signal waits
+// are plain loads whose value joins the outcome, so forbidden
+// predicates condition on the observed value instead of spinning;
+// loads marked Spin let the sampler wait for the signal (a SpinEQ
+// loop once lowered to prog). Slot kinds mirror the barriers the paper
+// places in each shape.
 
 func load(addr, obs int) SOp { return SOp{Code: SLoad, Addr: addr, Obs: obs} }
 func warm(addr int) SOp      { return SOp{Code: SLoad, Addr: addr, Obs: -1} }
@@ -189,6 +191,36 @@ func WRC() *Shape {
 		Regs: []string{"t1x", "t2y", "t2x"},
 		Forbidden: func(r, _ []uint64) bool {
 			return r[0] == 1 && r[1] == 1 && r[2] == 0
+		},
+	}
+}
+
+// IRIW is independent reads of independent writes: two writers store
+// x and y, and two readers read the pair in opposite orders. Observing
+// the writes in contradictory orders needs stores that are not
+// multi-copy atomic; like ARMv8, the simulator makes a store visible
+// to every other core at one commit instant. It is not in All()
+// because absmodel has no closed form for it.
+func IRIW() *Shape {
+	return &Shape{
+		Name:      "IRIW",
+		Doc:       "IRIW: the readers see the two writes in opposite orders",
+		Cores:     []topo.CoreID{0, 32, 4, 36},
+		Lines:     2,
+		LineNames: []string{"x", "y"},
+		Threads: [][]SOp{
+			{store(0, 1)},
+			{store(1, 1)},
+			{load(0, 0), load(1, 1)},
+			{load(1, 2), load(0, 3)},
+		},
+		Slots: []Slot{
+			{Thread: 2, At: 1, Bar: isa.DMBLd, Label: "t2"},
+			{Thread: 3, At: 1, Bar: isa.DMBLd, Label: "t3"},
+		},
+		Regs: []string{"r1", "r2", "r3", "r4"},
+		Forbidden: func(r, _ []uint64) bool {
+			return r[0] == 1 && r[1] == 0 && r[2] == 1 && r[3] == 0
 		},
 	}
 }

@@ -46,6 +46,7 @@ type Builder struct {
 	issueWidth float64
 	loopStack  []loopFrame
 	err        error
+	result     int // 1 + index of the op Dest targets; 0 = none
 }
 
 type loopFrame struct {
@@ -74,8 +75,26 @@ func (b *Builder) Table(addrs []uint64) int {
 
 func (b *Builder) emit(op Op) {
 	b.p.Ops = append(b.p.Ops, op)
+	if op.Code.HasResult() {
+		b.result = len(b.p.Ops)
+	} else if !op.Code.IsControl() {
+		b.result = 0
+	}
 	if n := len(b.loopStack); n > 0 && !op.Code.IsControl() {
 		b.loopStack[n-1].live = true
+	}
+}
+
+// Dest makes the value-returning op just appended (a load, an atomic
+// or a spin) write its result to register r, 1 <= r < NumRegs.
+func (b *Builder) Dest(r int) {
+	switch {
+	case b.result == 0:
+		b.fail("Dest(%d) does not follow a value-returning op", r)
+	case r <= 0 || r >= NumRegs:
+		b.fail("register %d out of range [1,%d)", r, NumRegs)
+	default:
+		b.p.Ops[b.result-1].Reg = uint8(r)
 	}
 }
 
@@ -119,14 +138,14 @@ func (b *Builder) Store(o Operand, v Value) { b.mem(Store, o, v) }
 // StoreRelease appends an STLR of v.
 func (b *Builder) StoreRelease(o Operand, v Value) { b.mem(StoreRel, o, v) }
 
-// FetchAdd appends an atomic add of v (result discarded).
+// FetchAdd appends an atomic add of v; its result is the old value.
 func (b *Builder) FetchAdd(o Operand, v Value) { b.mem(FetchAdd, o, v) }
 
-// Swap appends an atomic swap to v (result discarded).
+// Swap appends an atomic swap to v; its result is the old value.
 func (b *Builder) Swap(o Operand, v Value) { b.mem(Swap, o, v) }
 
-// CompareAndSwap appends an atomic CAS from old to new (result
-// discarded).
+// CompareAndSwap appends an atomic CAS from old to new; its result is
+// 1 when it swapped, else 0.
 func (b *Builder) CompareAndSwap(o Operand, old, new uint64) {
 	b.emit(Op{Code: CAS, AMode: o.mode, Dep: o.dep, Addr: o.addr, Val: old, Val2: new})
 }
@@ -191,6 +210,7 @@ func (b *Builder) spin(code Code, o Operand, v uint64, padNops int) {
 		b.emit(Op{Code: code, AMode: o.mode, Dep: o.dep, Addr: o.addr, Val: v, Target: at + 2})
 		b.emit(Op{Code: Jump, Target: at})
 	}
+	b.result = int(at) + 1 // Dest names the spin load, not its pad
 }
 
 // Loop opens a counted loop of n iterations — the lowering of
@@ -200,6 +220,7 @@ func (b *Builder) spin(code Code, o Operand, v uint64, padNops int) {
 // Loops nest; EndLoop closes the innermost. A loop whose body runs no
 // machine-visible op is dropped at EndLoop: it costs no simulated time.
 func (b *Builder) Loop(n int) (dep int) {
+	b.result = 0
 	d := len(b.loopStack)
 	if d >= MaxLoopDepth {
 		b.fail("loop nesting exceeds MaxLoopDepth %d", MaxLoopDepth)
@@ -223,6 +244,7 @@ func (b *Builder) EndLoop() {
 	}
 	f := b.loopStack[len(b.loopStack)-1]
 	b.loopStack = b.loopStack[:len(b.loopStack)-1]
+	b.result = 0
 	switch {
 	case !f.live:
 		// A body that runs no machine-visible op (empty, or only

@@ -14,6 +14,15 @@
 // that the executor folds into pc updates between machine ops. That
 // 1:1 mapping is what lets the golden digest and differential tests
 // prove the two engines byte-identical.
+//
+// Value-returning codes (loads, atomics, spin loads) may name a
+// destination register, Op.Reg, in a small per-thread register file of
+// NumRegs slots. Register 0 means discard. Both executors store the
+// op's result there when it is served (a spin load on every poll, so
+// its register ends at the value that released it; CAS stores 1 when
+// it swapped, else 0), and the thread's registers read back after the
+// run through sim's Thread.Reg. That is how litmus shapes lowered to
+// programs report their observed values.
 package prog
 
 import (
@@ -57,6 +66,16 @@ const NumCodes = int(numCodes)
 // IsControl reports whether the code is free control flow (no machine
 // dispatch).
 func (c Code) IsControl() bool { return c == Jump || c == LoopEnd }
+
+// HasResult reports whether the code produces a value a destination
+// register can receive.
+func (c Code) HasResult() bool {
+	switch c {
+	case Load, LoadAcq, LoadAcqPC, FetchAdd, Swap, CAS, SpinEQ, SpinNE, SpinGE:
+		return true
+	}
+	return false
+}
 
 var codeNames = [NumCodes]string{
 	"load", "loadacq", "loadacqpc", "store", "storerel", "barrier",
@@ -104,14 +123,19 @@ const MaxLoopDepth = 8
 // defeats the compiled engine's cache-density premise.
 const MaxOps = 1 << 16
 
+// NumRegs is the size of a thread's register file, register 0 (the
+// discard slot) included.
+const NumRegs = 8
+
 // Op is one micro-op. The flat value layout (no pointers, no
 // interfaces) keeps programs cache-dense and lets the executor take
-// everything it needs from one 64-byte-ish record.
+// everything it needs from one 64-byte record.
 type Op struct {
 	Code  Code
 	AMode AddrMode
 	VMode ValMode
 	Dep   uint8       // loop-counter index for AddrTable/ValCounter/LoopEnd
+	Reg   uint8       // destination register of a HasResult code; 0 = discard
 	Bar   isa.Barrier // Barrier code only
 	Addr  uint64      // absolute address, or table index under AddrTable
 	Val   uint64      // immediate value / CAS expected / spin target value
@@ -142,6 +166,12 @@ func (p *Program) Validate() error {
 		op := &p.Ops[i]
 		bad := func(format string, args ...any) error {
 			return fmt.Errorf("prog: op %d (%v): %s", i, op.Code, fmt.Sprintf(format, args...))
+		}
+		if op.Reg != 0 && !op.Code.HasResult() {
+			return bad("register %d on a code with no result", op.Reg)
+		}
+		if op.Reg >= NumRegs {
+			return bad("register %d out of range [0,%d)", op.Reg, NumRegs)
 		}
 		switch op.Code {
 		case Load, LoadAcq, LoadAcqPC, Store, StoreRel, FetchAdd, Swap, CAS:

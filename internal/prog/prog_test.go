@@ -2,6 +2,7 @@ package prog
 
 import (
 	"testing"
+	"unsafe"
 
 	"armbar/internal/isa"
 )
@@ -188,11 +189,50 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		"forward loopend":   {Ops: []Op{{Code: LoopEnd, Target: 1, Count: 2}, {Code: Load}}},
 		"zero work":         {Ops: []Op{{Code: Work, Cyc: 0}}},
 		"over MaxOps":       {Ops: make([]Op, MaxOps+1)},
+		"register on store": {Ops: []Op{{Code: Store, Reg: 1}}},
+		"register range":    {Ops: []Op{{Code: Load, Reg: NumRegs}}},
 	}
 	for name, p := range cases {
 		p := p
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: Validate passed, want error", name)
 		}
+	}
+}
+
+func TestBuilderDest(t *testing.T) {
+	b := NewBuilder(1)
+	b.Load(Abs(64))
+	b.Dest(1)
+	b.SpinEQ(Abs(128), 1, 2) // the pad work follows the spin op
+	b.Dest(2)
+	b.Swap(Abs(64), Imm(3))
+	b.Store(Abs(64), Imm(4))
+	p := b.MustBuild()
+	if p.Ops[0].Reg != 1 || p.Ops[1].Reg != 2 || p.Ops[4].Reg != 0 {
+		t.Fatalf("destination registers: %+v", p.Ops)
+	}
+
+	cases := map[string]func(b *Builder){
+		"no op":         func(b *Builder) { b.Dest(1) },
+		"after store":   func(b *Builder) { b.Load(Abs(64)); b.Store(Abs(64), Imm(1)); b.Dest(1) },
+		"after endloop": func(b *Builder) { b.Loop(2); b.Load(Abs(64)); b.EndLoop(); b.Dest(1) },
+		"discard slot":  func(b *Builder) { b.Load(Abs(64)); b.Dest(0) },
+		"past the file": func(b *Builder) { b.Load(Abs(64)); b.Dest(NumRegs) },
+	}
+	for name, f := range cases {
+		b := NewBuilder(1)
+		f(b)
+		if _, err := b.Build(); err == nil {
+			t.Errorf("%s: Build succeeded, want error", name)
+		}
+	}
+}
+
+// TestOpSize pins the micro-op record at one 64-byte cache line: the
+// destination register lives in padding the layout already had.
+func TestOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n != 64 {
+		t.Fatalf("unsafe.Sizeof(Op{}) = %d, want 64", n)
 	}
 }

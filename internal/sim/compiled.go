@@ -145,7 +145,7 @@ var opExec = [prog.NumCodes]func(*Machine, *Thread, *execEnv, *prog.Op) bool{
 func execLoad(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	start := t.now
 	a := e.addr(op)
-	m.doLoad(t, a, false)
+	t.setReg(op.Reg, m.doLoad(t, a, false))
 	m.emit(t, TraceLoad, a, start, t.now, "")
 	e.pc++
 	return true
@@ -154,7 +154,7 @@ func execLoad(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 func execLoadAcq(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	start := t.now
 	a := e.addr(op)
-	m.doLoad(t, a, true)
+	t.setReg(op.Reg, m.doLoad(t, a, true))
 	m.emit(t, TraceLoad, a, start, t.now, "acquire")
 	e.pc++
 	return true
@@ -163,7 +163,7 @@ func execLoadAcq(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 func execLoadAcqPC(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	start := t.now
 	a := e.addr(op)
-	m.doLoad(t, a, true)
+	t.setReg(op.Reg, m.doLoad(t, a, true))
 	// RCpc: keep the in-flight horizon at the load's issue so later
 	// independent misses still overlap it.
 	t.prevLoadIssue = start
@@ -255,7 +255,7 @@ func execRMW(m *Machine, t *Thread, e *execEnv, op *prog.Op, kind opKind) bool {
 	}
 	start := t.now
 	a := e.addr(op)
-	m.doRMW(t, kind, a, e.value(op), op.Val2)
+	t.setReg(op.Reg, m.doRMW(t, kind, a, e.value(op), op.Val2))
 	m.emit(t, TraceRMW, a, start, t.now, "")
 	e.pc++
 	return true
@@ -270,6 +270,7 @@ func execSpinEQ(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	t.spinning = true
 	v := m.doLoad(t, a, false)
 	t.spinning = false
+	t.setReg(op.Reg, v)
 	m.emit(t, TraceLoad, a, start, t.now, "")
 	if v == op.Val {
 		e.pc = op.Target
@@ -285,6 +286,7 @@ func execSpinNE(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	t.spinning = true
 	v := m.doLoad(t, a, false)
 	t.spinning = false
+	t.setReg(op.Reg, v)
 	m.emit(t, TraceLoad, a, start, t.now, "")
 	if v != op.Val {
 		e.pc = op.Target
@@ -300,6 +302,7 @@ func execSpinGE(m *Machine, t *Thread, e *execEnv, op *prog.Op) bool {
 	t.spinning = true
 	v := m.doLoad(t, a, false)
 	t.spinning = false
+	t.setReg(op.Reg, v)
 	m.emit(t, TraceLoad, a, start, t.now, "")
 	if v >= op.Val {
 		e.pc = op.Target

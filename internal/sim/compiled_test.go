@@ -28,6 +28,7 @@ type diffRun struct {
 	elapsed float64
 	stats   Stats
 	final   []uint64
+	regs    []uint64
 	events  []TraceEvent
 }
 
@@ -137,6 +138,9 @@ func sameRun(t *testing.T, what string, interp, comp diffRun) {
 	}
 	if !reflect.DeepEqual(interp.final, comp.final) {
 		t.Errorf("%s: final memory diverges\ninterp:   %v\ncompiled: %v", what, interp.final, comp.final)
+	}
+	if !reflect.DeepEqual(interp.regs, comp.regs) {
+		t.Errorf("%s: registers diverge\ninterp:   %v\ncompiled: %v", what, interp.regs, comp.regs)
 	}
 	if !reflect.DeepEqual(interp.events, comp.events) {
 		n := len(interp.events)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"sync/atomic"
 
 	"armbar/internal/metrics"
@@ -66,8 +67,8 @@ func (m *Machine) MetricsInto(reg *metrics.Registry) {
 	reg.Counter("sim_event_reuses_total").Add(s.EventReuses)
 	reg.Counter("sim_inline_dispatches_total").Add(s.InlineDispatches)
 	reg.Counter("sim_park_wakes_total").Add(s.ParkWakes)
-	reg.Gauge("sim_barrier_stall_cycles_total").Add(s.BarrierStalls)
-	reg.Gauge("sim_virtual_cycles_total").Add(m.now)
+	reg.Gauge("sim_barrier_stall_cycles_total").Add(gaugeCycles(s.BarrierStalls))
+	reg.Gauge("sim_virtual_cycles_total").Add(gaugeCycles(m.now))
 	reg.Gauge("sim_event_heap_depth_max").Max(float64(s.MaxEventHeap))
 	reg.Gauge("sim_store_buffer_occupancy_max").Max(float64(s.MaxStoreBuf))
 	if total := s.EventAllocs + s.EventReuses; total > 0 {
@@ -88,6 +89,13 @@ func (m *Machine) MetricsInto(reg *metrics.Registry) {
 			float64(inline) / float64(inline+parked))
 	}
 }
+
+// gaugeCycles rounds one machine's cycle count to a multiple of 1/1024
+// before it is summed into a gauge. Pool workers fold machines in the
+// order they finish, and float addition is not associative; on this
+// grid every partial sum below 2^43 cycles is exact, so the total no
+// longer depends on that order.
+func gaugeCycles(c float64) float64 { return math.Round(c*1024) / 1024 }
 
 // opCyclesBounds spans sub-cycle dependency costs up to cross-node
 // DSB-grade stalls (~1e6 cycles) in powers of two.

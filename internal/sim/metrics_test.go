@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"testing"
 
 	"armbar/internal/isa"
@@ -128,5 +129,35 @@ func TestObservabilityIsHarmless(t *testing.T) {
 	_, traced := fencedRun(nil, sim.NewMetricsTracer(reg))
 	if dark != lit || dark != traced {
 		t.Fatalf("observability changed results: dark %g, metrics %g, traced %g", dark, lit, traced)
+	}
+}
+
+// TestMetricsIntoOrderIndependent folds the same machines into two
+// registries in opposite orders: pool workers finish machines in host
+// order, so the summed cycle gauges must not depend on it.
+func TestMetricsIntoOrderIndependent(t *testing.T) {
+	var ms []*sim.Machine
+	for seed := int64(1); seed <= 40; seed++ {
+		m := sim.New(sim.Config{Plat: platform.Kunpeng916(), Mode: sim.WMM, Seed: seed})
+		a := m.Alloc(1)
+		m.Spawn(0, func(t *sim.Thread) {
+			t.Store(a, 1)
+			t.Barrier(isa.DMBFull)
+			t.Nops(int(seed))
+		})
+		m.Spawn(32, func(t *sim.Thread) { t.Load(a) })
+		m.Run()
+		ms = append(ms, m)
+	}
+	fwd, rev := metrics.NewRegistry(), metrics.NewRegistry()
+	for i := range ms {
+		ms[i].MetricsInto(fwd)
+		ms[len(ms)-1-i].MetricsInto(rev)
+	}
+	for _, name := range []string{"sim_virtual_cycles_total", "sim_barrier_stall_cycles_total"} {
+		a, b := fwd.Gauge(name).Value(), rev.Gauge(name).Value()
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s depends on fold order: %v forward, %v reversed", name, a, b)
+		}
 	}
 }

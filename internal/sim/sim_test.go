@@ -55,6 +55,31 @@ func TestTwoThreadsMessagePassingWithBarriers(t *testing.T) {
 	}
 }
 
+// TestMPAcquireRelease is message passing through an STLR on the
+// producer and an LDAR spin on the consumer: the release/acquire pair
+// alone must forbid the stale data read under WMM, on every seed.
+func TestMPAcquireRelease(t *testing.T) {
+	for seed := int64(4000); seed < 4300; seed++ {
+		m := newTestMachine(WMM, seed)
+		data := m.Alloc(1)
+		flag := m.Alloc(1)
+		var got uint64
+		m.Spawn(0, func(th *Thread) {
+			th.Store(data, 23)
+			th.StoreRelease(flag, 1)
+		})
+		m.Spawn(4, func(th *Thread) {
+			for th.LoadAcquire(flag) != 1 {
+			}
+			got = th.Load(data)
+		})
+		m.Run()
+		if got != 23 {
+			t.Fatalf("seed %d: STLR/LDAR message passing read data=%d, want 23", seed, got)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() (float64, Stats) {
 		m := newTestMachine(WMM, 7)

@@ -5,6 +5,7 @@ import (
 
 	"armbar/internal/ace"
 	"armbar/internal/isa"
+	"armbar/internal/prog"
 	"armbar/internal/sb"
 	"armbar/internal/topo"
 )
@@ -98,6 +99,10 @@ type Thread struct {
 	// A compiled thread (SpawnProgram) is stepped by the driver from env.
 	compiled bool
 	env      execEnv
+
+	// regs is the register file a program's value-returning ops write
+	// (prog.Op.Reg) under either engine; Reg reads it.
+	regs [prog.NumRegs]uint64
 }
 
 // newThread initializes a thread in place in the machine's arena: the
@@ -135,6 +140,19 @@ func (t *Thread) Now() float64 { return t.now }
 
 // Stats returns the thread's counters so far.
 func (t *Thread) Stats() ThreadStats { return t.stats }
+
+// Reg returns register i (0 <= i < prog.NumRegs) of the thread's
+// program: the result of the last served op that named i as its
+// destination, 0 if none did. Read it after Run.
+func (t *Thread) Reg(i int) uint64 { return t.regs[i] }
+
+// setReg stores an op's result in its destination register; register
+// 0 discards it without a write.
+func (t *Thread) setReg(r uint8, v uint64) {
+	if r != 0 {
+		t.regs[r] = v
+	}
+}
 
 // Load performs a relaxed 64-bit load.
 func (t *Thread) Load(addr uint64) uint64 {

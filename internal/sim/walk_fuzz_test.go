@@ -12,10 +12,10 @@ import (
 // generated programs: the bytes decode into 1-3 threads of
 // Builder-valid programs over at most 4 lines (every non-spin opcode,
 // nested counted loops including zero-trip ones, ring-addressed
-// operands and counter values), and running them natively through
-// SpawnProgram and as closure threads through Walk must give the same
-// clock, stats, final memory and traced event sequence under WMM and
-// TSO. Spins are left out so every program terminates. The committed
+// operands and counter values, destination registers on the
+// value-returning ops), and running them natively through SpawnProgram
+// and as closure threads through Walk must give the same clock, stats,
+// final memory, registers and traced event sequence under WMM and TSO. Spins are left out so every program terminates. The committed
 // corpus in testdata/fuzz replays on every `go test`; explore more with
 //
 //	go test -run '^$' -fuzz FuzzWalkMatchesCompiled ./internal/sim
@@ -40,11 +40,12 @@ func runFuzzPrograms(data []byte, mode Mode, walk bool) diffRun {
 	tr := &recTracer{}
 	m.SetTracer(tr)
 	lines, progs, cores := decodeFuzzPrograms(r, m)
+	threads := make([]*Thread, len(progs))
 	for i, p := range progs {
 		if walk {
-			m.Spawn(cores[i], func(th *Thread) { Walk(th, p) })
+			threads[i] = m.Spawn(cores[i], func(th *Thread) { Walk(th, p) })
 		} else {
-			m.SpawnProgram(cores[i], p)
+			threads[i] = m.SpawnProgram(cores[i], p)
 		}
 	}
 	elapsed := m.Run()
@@ -52,7 +53,13 @@ func runFuzzPrograms(data []byte, mode Mode, walk bool) diffRun {
 	for k, a := range lines {
 		final[k] = m.Directory().Committed(a)
 	}
-	return diffRun{elapsed: elapsed, stats: m.Stats(), final: final, events: tr.events}
+	var regs []uint64
+	for _, th := range threads {
+		for i := 0; i < prog.NumRegs; i++ {
+			regs = append(regs, th.Reg(i))
+		}
+	}
+	return diffRun{elapsed: elapsed, stats: m.Stats(), final: final, regs: regs, events: tr.events}
 }
 
 // fuzzBytes reads the fuzz input front to back; past the end it reads
@@ -120,11 +127,13 @@ func decodeFuzzPrograms(r *fuzzBytes, m *Machine) ([]uint64, []*prog.Program, []
 		b := prog.NewBuilder(m.cfg.Plat.Cost.IssueWidth)
 		depth := 0
 		// operand and value decode an address and a value that share
-		// one loop counter, as the Builder requires of a single op.
-		operand := func() (prog.Operand, prog.Value) {
+		// one loop counter, as the Builder requires of a single op, and
+		// a destination register (0 discards) from the same two bytes.
+		operand := func() (prog.Operand, prog.Value, int) {
 			ab, vb := r.next(), r.next()
+			reg := int(ab^vb) % prog.NumRegs
 			if depth == 0 {
-				return prog.Abs(lines[int(ab>>1)%nlines]), prog.Imm(uint64(vb >> 1))
+				return prog.Abs(lines[int(ab>>1)%nlines]), prog.Imm(uint64(vb >> 1)), reg
 			}
 			dep := int(ab>>5) % depth
 			o := prog.Abs(lines[int(ab>>1)%nlines])
@@ -140,31 +149,46 @@ func decodeFuzzPrograms(r *fuzzBytes, m *Machine) ([]uint64, []*prog.Program, []
 			if vb&1 == 1 {
 				v = prog.Counter(dep)
 			}
-			return o, v
+			return o, v, reg
+		}
+		dest := func(reg int) {
+			if reg != 0 {
+				b.Dest(reg)
+			}
 		}
 		nops := 1 + int(r.next()%fuzzMaxOps)
 		for k := 0; k < nops; k++ {
 			switch r.next() % fzNumOps {
 			case fzLoad:
-				o, _ := operand()
+				o, _, reg := operand()
 				b.Load(o)
+				dest(reg)
 			case fzLoadAcq:
-				o, _ := operand()
+				o, _, reg := operand()
 				b.LoadAcquire(o)
+				dest(reg)
 			case fzLoadAcqPC:
-				o, _ := operand()
+				o, _, reg := operand()
 				b.LoadAcquirePC(o)
+				dest(reg)
 			case fzStore:
-				b.Store(operand())
+				o, v, _ := operand()
+				b.Store(o, v)
 			case fzStoreRel:
-				b.StoreRelease(operand())
+				o, v, _ := operand()
+				b.StoreRelease(o, v)
 			case fzFetchAdd:
-				b.FetchAdd(operand())
+				o, v, reg := operand()
+				b.FetchAdd(o, v)
+				dest(reg)
 			case fzSwap:
-				b.Swap(operand())
+				o, v, reg := operand()
+				b.Swap(o, v)
+				dest(reg)
 			case fzCAS:
-				o, _ := operand()
+				o, _, reg := operand()
 				b.CompareAndSwap(o, uint64(r.next()%4), uint64(r.next()%4))
+				dest(reg)
 			case fzBarrier:
 				b.Barrier(bars[int(r.next())%len(bars)])
 			case fzNops:
